@@ -9,21 +9,7 @@
 
 namespace mbase {
 
-namespace {
-
-template <typename Fn>
-void ForEachSite(const mmem::SiteMask& mask, Fn&& fn) {
-  for (int wi = 0; wi < mmem::SiteMask::kWords; ++wi) {
-    std::uint64_t w = mask.words[wi];
-    while (w != 0) {
-      int s = wi * 64 + __builtin_ctzll(w);
-      w &= w - 1;
-      fn(static_cast<mnet::SiteId>(s));
-    }
-  }
-}
-
-}  // namespace
+using mmem::ForEachSite;
 
 LiEngine::LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry,
                    mtrace::Tracer* tracer)

@@ -108,6 +108,19 @@ inline int MaskLowest(const SiteMask& m) {
   }
   return -1;
 }
+// Calls fn(site) for every site in the mask, lowest first (the sequential
+// point-to-point order of the paper's §7.1).
+template <typename Fn>
+void ForEachSite(const SiteMask& mask, Fn&& fn) {
+  for (int wi = 0; wi < SiteMask::kWords; ++wi) {
+    std::uint64_t w = mask.words[wi];
+    while (w != 0) {
+      int s = wi * 64 + __builtin_ctzll(w);
+      w &= w - 1;
+      fn(static_cast<mnet::SiteId>(s));
+    }
+  }
+}
 
 // Raw contents of one page.
 using PageBytes = std::vector<std::uint8_t>;

@@ -9,19 +9,7 @@ namespace mirage {
 
 namespace {
 
-// Iteration helper over a site mask, lowest site first (the sequential
-// point-to-point order of §7.1).
-template <typename Fn>
-void ForEachSite(const mmem::SiteMask& mask, Fn&& fn) {
-  for (int wi = 0; wi < mmem::SiteMask::kWords; ++wi) {
-    std::uint64_t w = mask.words[wi];
-    while (w != 0) {
-      int s = wi * 64 + __builtin_ctzll(w);
-      w &= w - 1;
-      fn(static_cast<mnet::SiteId>(s));
-    }
-  }
-}
+using mmem::ForEachSite;
 
 mnet::SiteId FirstSite(const mmem::SiteMask& mask) {
   int s = mmem::MaskLowest(mask);
@@ -101,6 +89,8 @@ const char* PageModeName(PageMode m) {
 Engine::Engine(mos::Kernel* kernel, SegmentRegistry* registry, ProtocolOptions opts,
                mtrace::Tracer* tracer)
     : kernel_(kernel), registry_(registry), opts_(std::move(opts)), tracer_(tracer) {}
+
+Engine::~Engine() { DetachAckWaits(); }
 
 void Engine::Start() {
   kernel_->SetPacketHandler(
@@ -355,11 +345,10 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       if (StaleEpoch(b.seg, b.epoch)) {
         break;
       }
-      auto it = lib_pending_map_.find(b.req_id);
-      if (it != lib_pending_map_.end()) {
-        it->second->wait_reply = true;
-        it->second->wait_remaining_us = b.remaining_us;
-        kernel_->Wakeup(it->second->chan);
+      if (AckWait* w = FindAckWait(AckRole::kInstall, b.seg, b.req_id)) {
+        w->wait_reply = true;
+        w->wait_remaining_us = b.remaining_us;
+        kernel_->Wakeup(w->chan);
       }
       break;
     }
@@ -386,14 +375,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
         // ids restart at the new library, so collisions are possible).
         break;
       }
-      auto it = inv_collectors_.find({b.seg, b.req_id});
-      if (it != inv_collectors_.end()) {
-        ++it->second->got;
-        if (b.from != mnet::kNoSite) {
-          it->second->awaiting &= ~mmem::MaskOf(b.from);
-        }
-        kernel_->Wakeup(it->second->chan);
-      }
+      CreditAck(AckRole::kInvalidate, b.seg, b.req_id, b.from);
       break;
     }
     case MsgKind::kPageInstall: {
@@ -403,15 +385,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       }
       AdoptEpoch(b.seg, b.epoch);
       ApplyInstall(b);
-      if (b.library_site == site()) {
-        CreditInstallAck(b.req_id, site());
-      } else {
-        InstallAckBody a{b.seg, b.page, b.req_id, site(), b.epoch};
-        co_await kernel_->Send(
-            self, mnet::MakePacket(site(), b.library_site,
-                                   static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                   kShortMsgBytes, a));
-      }
+      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
     }
     case MsgKind::kUpgradeGrant: {
@@ -421,15 +395,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       }
       AdoptEpoch(b.seg, b.epoch);
       ApplyUpgrade(b);
-      if (b.library_site == site()) {
-        CreditInstallAck(b.req_id, site());
-      } else {
-        InstallAckBody a{b.seg, b.page, b.req_id, site(), b.epoch};
-        co_await kernel_->Send(
-            self, mnet::MakePacket(site(), b.library_site,
-                                   static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                   kShortMsgBytes, a));
-      }
+      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
     }
     case MsgKind::kInstallAck: {
@@ -437,7 +403,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       if (StaleEpoch(b.seg, b.epoch)) {
         break;
       }
-      CreditInstallAck(b.req_id, b.from);
+      CreditAck(AckRole::kInstall, b.seg, b.req_id, b.from);
       break;
     }
     case MsgKind::kRequestFailed: {
@@ -477,14 +443,12 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
     }
     case MsgKind::kRecoveryReply: {
       const auto& b = mnet::PacketBody<RecoveryReplyBody>(pkt);
-      auto it = rec_collectors_.find(b.seg);
-      if (it == rec_collectors_.end() || b.epoch != it->second->epoch) {
+      AckWait* w = CreditAck(AckRole::kRecovery, b.seg, b.epoch, b.from);
+      if (w == nullptr) {
         (void)StaleEpoch(b.seg, b.epoch);  // count pre-crash stragglers
         break;
       }
-      it->second->replies[b.from] = b.pages;
-      it->second->awaiting &= ~mmem::MaskOf(b.from);
-      kernel_->Wakeup(it->second->chan);
+      (*w->replies)[b.from] = b.pages;
       break;
     }
     case MsgKind::kReplicate: {
@@ -508,7 +472,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       if (StaleEpoch(b.seg, b.epoch)) {
         break;  // fenced: a pre-crash ack must not credit a successor's quorum
       }
-      CreditReplicateAck(b);
+      CreditAck(AckRole::kReplicate, b.seg, b.req_id, b.from);
       break;
     }
     case MsgKind::kPromoteReplica: {
@@ -518,11 +482,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       }
       AdoptEpoch(b.seg, b.epoch);
       ApplyPromoteReplica(b);
-      InstallAckBody a{b.seg, b.page, b.req_id, site(), b.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), b.library_site,
-                                 static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                 kShortMsgBytes, a));
+      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
     }
     case MsgKind::kRejoinAnnounce: {
@@ -725,17 +685,6 @@ void Engine::ApplyInvalidate(const InvalidatePageBody& body) {
                           std::to_string(body.page));
 }
 
-void Engine::CreditInstallAck(std::uint64_t req_id, mnet::SiteId from) {
-  auto it = lib_pending_map_.find(req_id);
-  if (it != lib_pending_map_.end()) {
-    ++it->second->got_acks;
-    if (from != mnet::kNoSite) {
-      it->second->awaiting &= ~mmem::MaskOf(from);
-    }
-    kernel_->Wakeup(it->second->chan);
-  }
-}
-
 void Engine::ApplyRequestFailed(const RequestFailedBody& body) {
   ++stats_.fail_notices_received;
   Trace("failure", "library reports page " + std::to_string(body.page) + " of seg " +
@@ -771,8 +720,7 @@ msim::Task<> Engine::LibraryMain(mos::Process* self) {
     std::uint64_t key = WaitKey(seg, req.body.page);
     busy_pages_.insert(key);
     ++active_ops_[seg];
-    LibPending slot;
-    co_await ProcessRequest(self, std::move(req), slot);
+    co_await ProcessRequest(self, std::move(req));
     --active_ops_[seg];
     busy_pages_.erase(key);
     MaybeReap(seg);
@@ -800,7 +748,7 @@ msim::Task<> Engine::WorkerMain(mos::Process* self) {
   }
 }
 
-msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending& slot) {
+msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
   ++stats_.requests_processed;
   co_await kernel_->Compute(self, kernel_->costs().library_processing_cpu_us);
   if (StaleEpoch(req.body.seg, req.body.epoch)) {
@@ -854,11 +802,9 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
     op.epoch = KnownEpoch(seg);
     op.replicate_set = rset;
     op.commit_version = pd.version + 1;
-    slot.created_at = kernel_->Now();
-    slot.op_deadline = opts_.op_timeout_us > 0 ? kernel_->Now() + opts_.op_timeout_us : 0;
     Trace("replicate", "re-spread page " + std::to_string(page) + " of seg " +
                            std::to_string(seg) + " to mask " + mmem::MaskToString(rset));
-    bool rok = co_await IssueClockOp(self, pd.clock_site, op, 1, slot);
+    bool rok = co_await IssueClockOp(self, pd.clock_site, op, OpDeadline());
     if (rok) {
       pd.version = op.commit_version;
       pd.replica_set = rset;
@@ -933,8 +879,9 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
                        " request site " + std::to_string(requester) + " page " +
                        std::to_string(page) + " mode " + PageModeName(pd.mode));
 
-  slot.created_at = kernel_->Now();
-  slot.op_deadline = opts_.op_timeout_us > 0 ? kernel_->Now() + opts_.op_timeout_us : 0;
+  const msim::Time op_deadline = OpDeadline();
+  // The clock site driving the op; kNoSite when the library grants directly.
+  const mnet::SiteId clock_site = pd.mode == PageMode::kEmpty ? mnet::kNoSite : pd.clock_site;
   // Replication: every clock op that moves page contents is a commit point —
   // the data-holding site quorum-replicates the captured page before the
   // grant goes out. kSendCopy and kUpgradeWriter move no new contents, so
@@ -956,7 +903,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
   bool ok = true;
   switch (pd.mode) {
     case PageMode::kEmpty: {
-      ok = co_await GrantFromEmpty(self, pd, req, batch, req_id, window, slot);
+      ok = co_await GrantFromEmpty(self, pd, req, batch, req_id, window, op_deadline);
       break;
     }
     case PageMode::kReaders: {
@@ -975,7 +922,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
         op.clock_check = false;
         op.library_site = site();
         op.epoch = KnownEpoch(seg);
-        ok = co_await IssueClockOp(self, pd.clock_site, op, mmem::MaskCount(op.targets), slot);
+        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
         if (ok) {
           pd.readers |= batch;
         }
@@ -999,7 +946,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
         if (!upgrade) {
           arm_commit(op);
         }
-        ok = co_await IssueClockOp(self, pd.clock_site, op, 1, slot);
+        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
         if (ok) {
           apply_commit(op);
           pd.mode = PageMode::kWriter;
@@ -1026,7 +973,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
         op.library_site = site();
         op.epoch = KnownEpoch(seg);
         arm_commit(op);
-        ok = co_await IssueClockOp(self, pd.clock_site, op, 1, slot);
+        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
         if (ok) {
           apply_commit(op);
           pd.writer = requester;
@@ -1049,7 +996,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
           op.invalidate_set = 0;
           op.resulting_readers = batch | mmem::MaskOf(pd.writer);
           arm_commit(op);
-          ok = co_await IssueClockOp(self, pd.clock_site, op, mmem::MaskCount(op.targets), slot);
+          ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
           if (ok) {
             apply_commit(op);
             pd.mode = PageMode::kReaders;
@@ -1063,7 +1010,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
           op.invalidate_set = 0;
           op.resulting_readers = batch;
           arm_commit(op);
-          ok = co_await IssueClockOp(self, pd.clock_site, op, mmem::MaskCount(batch), slot);
+          ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
           if (ok) {
             apply_commit(op);
             pd.mode = PageMode::kReaders;
@@ -1084,13 +1031,13 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
       // against the rebuilt directory — nothing is lost.
       co_return;
     }
-    if (slot.clock_site != mnet::kNoSite && slot.clock_site != site() &&
-        !kernel_->net()->SiteUp(slot.clock_site)) {
+    if (clock_site != mnet::kNoSite && clock_site != site() &&
+        !kernel_->net()->SiteUp(clock_site)) {
       // The clock site died holding the freshest copy-state. Instead of
       // condemning the page, rebuild the directory from the survivors; if a
       // copy survives anywhere the page keeps serving (freshest-copy
       // transfer), and only a page whose every copy died becomes lost.
-      Trace("recovery", "clock site " + std::to_string(slot.clock_site) +
+      Trace("recovery", "clock site " + std::to_string(clock_site) +
                             " down; reconstructing seg " + std::to_string(seg));
       StartRecovery(seg, /*elected=*/false);
       co_return;
@@ -1105,18 +1052,13 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req, LibPending&
 
 msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const Request& req,
                                         mmem::SiteMask batch, std::uint64_t req_id,
-                                        msim::Duration window_us, LibPending& slot) {
+                                        msim::Duration window_us, msim::Time op_deadline) {
   const bool write = req.body.write;
   const mnet::SiteId requester = req.body.requester;
   mmem::SiteMask targets = write ? mmem::MaskOf(requester) : batch;
 
-  slot.req_id = req_id;
-  slot.expected_acks = mmem::MaskCount(targets);
-  slot.got_acks = 0;
-  slot.wait_reply = false;
-  slot.awaiting = targets;
-  slot.clock_site = mnet::kNoSite;  // no clock site involved: library grant
-  lib_pending_map_[req_id] = &slot;
+  AckWait w(this, AckRole::kInstall, req.body.seg, req_id, op_deadline);
+  ForEachSite(targets, [&](mnet::SiteId s) { w.acks.Owe(s); });
 
   // Replication: commit the page's initial (zero-filled) version to a write
   // quorum of standbys before the first grant leaves the library — from the
@@ -1129,9 +1071,8 @@ msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const R
       mmem::PageBytes zero(mmem::kPageSize, 0);
       bool committed =
           co_await ReplicateAndWait(self, req.body.seg, req.body.page, req_id, pd.version + 1,
-                                    KnownEpoch(req.body.seg), rset, zero, slot.op_deadline);
+                                    KnownEpoch(req.body.seg), rset, zero, op_deadline);
       if (!committed) {
-        lib_pending_map_.erase(req_id);
         co_return false;
       }
       new_version = pd.version + 1;
@@ -1159,7 +1100,7 @@ msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const R
     local.epoch = KnownEpoch(req.body.seg);
     local.data.assign(mmem::kPageSize, 0);
     ApplyInstall(local);
-    CreditInstallAck(req_id, site());
+    w.acks.Credit(site());
   }
   for (mnet::SiteId s : remote) {
     PageInstallBody b;
@@ -1177,9 +1118,7 @@ msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const R
         self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kPageInstall),
                                kPageMsgBytes, std::move(b)));
   }
-  SlotWait r = co_await AwaitSlot(self, slot, /*stop_on_wait_reply=*/false);
-  lib_pending_map_.erase(req_id);
-  if (r != SlotWait::kComplete) {
+  if (co_await AwaitAcks(self, w) != AckWaitResult::kComplete) {
     co_return false;
   }
   pd.version = new_version;
@@ -1199,20 +1138,21 @@ msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const R
 }
 
 msim::Task<bool> Engine::IssueClockOp(mos::Process* self, mnet::SiteId clock_site,
-                                      ClockOpBody op, int expected_acks, LibPending& slot) {
-  slot.req_id = op.req_id;
-  slot.expected_acks = expected_acks;
-  slot.got_acks = 0;
-  slot.wait_reply = false;
-  slot.awaiting = op.targets;
-  slot.clock_site = clock_site;
-  lib_pending_map_[op.req_id] = &slot;
-
-  bool ok = true;
+                                      ClockOpBody op, msim::Time op_deadline) {
+  AckWait w(this, AckRole::kInstall, op.seg, op.req_id, op_deadline);
+  w.clock_site = clock_site;
+  if (op.action == ClockAction::kReplicateOnly) {
+    // A re-spread grants nothing. Its one ack is the clock site's report
+    // that the commit landed, and that site's death fails it fast rather
+    // than being forgiven.
+    w.acks.Owe(clock_site);
+    w.acks.Pin(clock_site);
+  } else {
+    ForEachSite(op.targets, [&](mnet::SiteId s) { w.acks.Owe(s); });
+  }
   for (;;) {
-    if (slot.op_deadline != 0 && kernel_->Now() >= slot.op_deadline) {
-      ok = false;
-      break;
+    if (op_deadline != 0 && kernel_->Now() >= op_deadline) {
+      co_return false;
     }
     if (clock_site == site()) {
       // Colocated clock site: the check and the operation run in the library
@@ -1228,82 +1168,138 @@ msim::Task<bool> Engine::IssueClockOp(mos::Process* self, mnet::SiteId clock_sit
           continue;
         }
       }
-      ok = co_await ExecuteClockOp(self, op);
-      break;
+      if (!co_await ExecuteClockOp(self, op)) {
+        co_return false;
+      }
+    } else {
+      co_await kernel_->Send(
+          self, mnet::MakePacket(site(), clock_site, static_cast<std::uint32_t>(MsgKind::kClockOp),
+                                 kShortMsgBytes, op));
     }
-    co_await kernel_->Send(
-        self, mnet::MakePacket(site(), clock_site, static_cast<std::uint32_t>(MsgKind::kClockOp),
-                               kShortMsgBytes, op));
-    SlotWait r = co_await AwaitSlot(self, slot, /*stop_on_wait_reply=*/true);
-    if (r == SlotWait::kWaitReply) {
-      // Refused: wait out the window and re-request the invalidation (§6.1).
-      slot.wait_reply = false;
-      ++stats_.invalidation_retries;
-      co_await kernel_->SleepFor(self, slot.wait_remaining_us);
-      continue;
+    AckWaitResult r = co_await AwaitAcks(self, w);
+    if (r != AckWaitResult::kWaitReply) {
+      co_return r == AckWaitResult::kComplete;
     }
-    ok = r == SlotWait::kComplete;
-    break;
+    // Refused: wait out the window and re-request the invalidation (§6.1).
+    w.wait_reply = false;
+    ++stats_.invalidation_retries;
+    co_await kernel_->SleepFor(self, w.wait_remaining_us);
   }
-  if (ok) {
-    ok = co_await AwaitSlot(self, slot, /*stop_on_wait_reply=*/false) == SlotWait::kComplete;
-  }
-  lib_pending_map_.erase(op.req_id);
-  co_return ok;
 }
 
-msim::Task<Engine::SlotWait> Engine::AwaitSlot(mos::Process* self, LibPending& slot,
-                                               bool stop_on_wait_reply) {
+// ---------------------------------------------------------------- ack waits --
+
+Engine::AckWait::AckWait(Engine* e, AckRole r, mmem::SegmentId s, std::uint64_t id,
+                         msim::Time deadline)
+    : role(r),
+      seg(s),
+      acks(r == AckRole::kReplicate ? AckSet::Rule::kMajority : AckSet::Rule::kAll,
+           r == AckRole::kInstall || r == AckRole::kInvalidate ? AckSet::Forgiveness::kCount
+                                                                : AckSet::Forgiveness::kShrink,
+           e->kernel_->Now(), deadline,
+           // Recovery has no deadline; it re-examines at the ack timeout, or
+           // the request timeout when that is off.
+           r == AckRole::kRecovery && e->opts_.ack_timeout_us <= 0
+               ? e->opts_.request_timeout_us
+               : e->opts_.ack_timeout_us),
+      engine(e),
+      key(r, s, id) {
+  AckWait*& entry = e->acks_[key];
+  if (entry != nullptr) {
+    entry->engine = nullptr;  // superseded: the older wait hears no more acks
+  }
+  entry = this;
+}
+
+Engine::AckWait::~AckWait() {
+  if (engine != nullptr) {
+    engine->acks_.erase(key);
+  }
+}
+
+void Engine::DetachAckWaits() {
+  for (auto& [key, w] : acks_) {
+    w->engine = nullptr;
+  }
+  acks_.clear();
+}
+
+Engine::AckWait* Engine::FindAckWait(AckRole role, mmem::SegmentId seg, std::uint64_t id) {
+  auto it = acks_.find(AckKey(role, seg, id));
+  return it == acks_.end() ? nullptr : it->second;
+}
+
+Engine::AckWait* Engine::CreditAck(AckRole role, mmem::SegmentId seg, std::uint64_t id,
+                                   mnet::SiteId from) {
+  AckWait* w = FindAckWait(role, seg, id);
+  if (w != nullptr) {
+    w->acks.Credit(from);
+    kernel_->Wakeup(w->chan);
+  }
+  return w;
+}
+
+msim::Task<> Engine::AckInstall(mos::Process* self, mmem::SegmentId seg, mmem::PageNum page,
+                                std::uint64_t req_id, mnet::SiteId library_site,
+                                std::uint32_t epoch) {
+  if (library_site == site()) {
+    CreditAck(AckRole::kInstall, seg, req_id, site());
+    co_return;
+  }
+  InstallAckBody a{seg, page, req_id, site(), epoch};
+  co_await kernel_->Send(self, mnet::MakePacket(site(), library_site,
+                                                static_cast<std::uint32_t>(MsgKind::kInstallAck),
+                                                kShortMsgBytes, a));
+}
+
+msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait& w) {
+  AckSet& acks = w.acks;
+  const mnet::Network& net = *kernel_->net();
   for (;;) {
-    if (stop_on_wait_reply && slot.wait_reply) {
-      co_return SlotWait::kWaitReply;
+    if (w.wait_reply) {
+      co_return AckWaitResult::kWaitReply;
     }
-    // Degraded completion: acks owed by crashed sites are forgiven — a
-    // crashed site's copy is, by definition, no longer a copy. (Partitioned
-    // sites are NOT forgiven: they may still hold a live copy, so the op
-    // can only complete or fail by deadline — consistency over availability.)
-    // GoneSince also forgives a site that crashed after the op began and has
-    // already rejoined: the ack it owed died with the old incarnation.
-    mmem::SiteMask down = 0;
-    ForEachSite(slot.awaiting, [&](mnet::SiteId s) {
-      if (GoneSince(s, slot.created_at)) {
-        down |= mmem::MaskOf(s);
+    if ((w.role == AckRole::kInvalidate || w.role == AckRole::kReplicate) &&
+        StaleEpoch(w.seg, w.epoch)) {
+      // A reconstruction overtook the op; survivors fence its messages, so
+      // the missing acks will never come.
+      co_return AckWaitResult::kStale;
+    }
+    if (int n = acks.Forgive(acks.GoneOwing(net)); n > 0) {
+      switch (w.role) {
+        case AckRole::kInstall:
+          stats_.degraded_acks += n;
+          Trace("degraded", "forgave " + std::to_string(n) + " install ack(s) from down site(s)");
+          break;
+        case AckRole::kInvalidate:
+          stats_.degraded_invalidations += n;
+          Trace("degraded",
+                "forgave " + std::to_string(n) + " invalidate ack(s) from down site(s)");
+          break;
+        case AckRole::kReplicate:
+          Trace("replicate", "standby site(s) died mid-commit; quorum shrinks to the survivors");
+          break;
+        case AckRole::kRecovery:
+          break;
       }
-    });
-    if (down != 0) {
-      int n = mmem::MaskCount(down);
-      slot.awaiting &= ~down;
-      slot.got_acks += n;
-      stats_.degraded_acks += n;
-      Trace("degraded", "forgave " + std::to_string(n) + " install ack(s) from down site(s)");
       continue;
     }
-    if (slot.Complete()) {
-      co_return SlotWait::kComplete;
+    if (AckSet::State st = acks.state(); st != AckSet::State::kPending) {
+      co_return st == AckSet::State::kComplete ? AckWaitResult::kComplete
+                                               : AckWaitResult::kFailed;
     }
     // A clock site that died before producing any ack will never execute the
     // op; fail fast rather than burning the whole deadline. (After partial
     // progress the in-flight installs may still complete it.)
-    bool timeouts_on = opts_.ack_timeout_us > 0 || slot.op_deadline != 0;
-    if (timeouts_on && slot.clock_site != mnet::kNoSite && slot.clock_site != site() &&
-        GoneSince(slot.clock_site, slot.created_at) && slot.got_acks == 0) {
-      co_return SlotWait::kFailed;
+    if (acks.timed() && w.clock_site != mnet::kNoSite && w.clock_site != site() &&
+        acks.Gone(net, w.clock_site) && acks.got() == 0) {
+      co_return AckWaitResult::kFailed;
     }
-    if (!timeouts_on) {
-      co_await kernel_->SleepOn(self, slot.chan);
-      continue;
+    const msim::Duration sleep = acks.NextSleep(kernel_->Now());
+    if (sleep < 0) {
+      co_return AckWaitResult::kFailed;
     }
-    msim::Duration wait = opts_.ack_timeout_us;
-    if (slot.op_deadline != 0) {
-      msim::Duration to_deadline = slot.op_deadline - kernel_->Now();
-      if (to_deadline <= 0) {
-        co_return SlotWait::kFailed;
-      }
-      if (wait <= 0 || wait > to_deadline) {
-        wait = to_deadline;
-      }
-    }
-    co_await kernel_->SleepOnFor(self, slot.chan, wait);
+    co_await kernel_->SleepOnFor(self, w.chan, sleep);
   }
 }
 
@@ -1356,11 +1352,12 @@ msim::Task<bool> Engine::ReplicateAndWait(mos::Process* self, mmem::SegmentId se
                                           mmem::SiteMask replicate_set,
                                           const mmem::PageBytes& data, msim::Time op_deadline) {
   ++stats_.quorum_waits;
-  RepAckCollector col;
-  col.expected = mmem::MaskCount(replicate_set);
-  col.awaiting = replicate_set;
-  col.created_at = kernel_->Now();
-  rep_collectors_[{seg, req_id}] = &col;
+  // Wait for a write quorum of ceil((k_eff + 1) / 2) acks. A standby that
+  // crashes mid-wait holds nothing: it shrinks the effective replica set
+  // (and the quorum with it) rather than counting as an ack.
+  AckWait w(this, AckRole::kReplicate, seg, req_id, op_deadline);
+  w.epoch = epoch;
+  ForEachSite(replicate_set, [&](mnet::SiteId s) { w.acks.Owe(s); });
   // A local standby costs no wire traffic and acks immediately.
   if (mmem::MaskHas(replicate_set, site())) {
     ReplicateBody b;
@@ -1372,8 +1369,7 @@ msim::Task<bool> Engine::ReplicateAndWait(mos::Process* self, mmem::SegmentId se
     b.epoch = epoch;
     b.data = data;
     ApplyReplicate(b);
-    ++col.got;
-    col.awaiting &= ~mmem::MaskOf(site());
+    w.acks.Credit(site());
   }
   std::vector<mnet::SiteId> remote;
   ForEachSite(replicate_set & ~mmem::MaskOf(site()), [&](mnet::SiteId s) { remote.push_back(s); });
@@ -1391,56 +1387,7 @@ msim::Task<bool> Engine::ReplicateAndWait(mos::Process* self, mmem::SegmentId se
         self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kReplicate),
                                kPageMsgBytes, std::move(b)));
   }
-  // Wait for a write quorum of ceil((k_eff + 1) / 2) acks. A standby that
-  // crashes mid-wait holds nothing: it shrinks the effective replica set
-  // (and the quorum with it) rather than counting as an ack — unlike the
-  // install-ack forgiveness, a forgiven standby is NOT progress.
-  bool ok = true;
-  for (;;) {
-    if (StaleEpoch(seg, epoch)) {
-      ok = false;
-      break;
-    }
-    mmem::SiteMask down = 0;
-    ForEachSite(col.awaiting, [&](mnet::SiteId s) {
-      if (GoneSince(s, col.created_at)) {
-        down |= mmem::MaskOf(s);
-      }
-    });
-    if (down != 0) {
-      col.awaiting &= ~down;
-      Trace("replicate", "standby site(s) died mid-commit; quorum shrinks to the survivors");
-      continue;
-    }
-    int k_eff = col.got + mmem::MaskCount(col.awaiting);
-    int quorum = (k_eff + 2) / 2;  // ceil((k_eff + 1) / 2)
-    if (col.got > 0 && col.got >= quorum) {
-      break;
-    }
-    if (col.awaiting == 0) {
-      ok = false;  // every standby died before acking
-      break;
-    }
-    bool timeouts_on = opts_.ack_timeout_us > 0 || op_deadline != 0;
-    if (!timeouts_on) {
-      co_await kernel_->SleepOn(self, col.chan);
-      continue;
-    }
-    msim::Duration wait = opts_.ack_timeout_us;
-    if (op_deadline != 0) {
-      msim::Duration to_deadline = op_deadline - kernel_->Now();
-      if (to_deadline <= 0) {
-        ok = false;
-        break;
-      }
-      if (wait <= 0 || wait > to_deadline) {
-        wait = to_deadline;
-      }
-    }
-    co_await kernel_->SleepOnFor(self, col.chan, wait);
-  }
-  rep_collectors_.erase({seg, req_id});
-  co_return ok;
+  co_return co_await AwaitAcks(self, w) == AckWaitResult::kComplete;
 }
 
 void Engine::ApplyReplicate(const ReplicateBody& body) {
@@ -1450,17 +1397,6 @@ void Engine::ApplyReplicate(const ReplicateBody& body) {
     rc.data = body.data;
     rc.version = body.version;
     rc.epoch = body.epoch;
-  }
-}
-
-void Engine::CreditReplicateAck(const ReplicateAckBody& body) {
-  auto it = rep_collectors_.find({body.seg, body.req_id});
-  if (it != rep_collectors_.end()) {
-    ++it->second->got;
-    if (body.from != mnet::kNoSite) {
-      it->second->awaiting &= ~mmem::MaskOf(body.from);
-    }
-    kernel_->Wakeup(it->second->chan);
   }
 }
 
@@ -1612,13 +1548,10 @@ void Engine::Rejoin() {
   lib_queue_.clear();
   worker_queue_.clear();
   recovery_queue_.clear();
-  lib_pending_map_.clear();
   busy_pages_.clear();
   dying_segments_.clear();
   active_ops_.clear();
-  inv_collectors_.clear();
-  rep_collectors_.clear();
-  rec_collectors_.clear();
+  DetachAckWaits();
   lib_procs_.clear();
   worker_proc_ = nullptr;
   recovery_proc_ = nullptr;
@@ -1766,45 +1699,29 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
       live_peers |= mmem::MaskOf(s);
     }
   });
-  RecoveryCollector col;
-  col.epoch = epoch;
-  col.awaiting = live_peers;
-  col.created_at = kernel_->Now();
-  rec_collectors_[seg] = &col;
-  std::vector<mnet::SiteId> peers;
-  ForEachSite(live_peers, [&](mnet::SiteId s) { peers.push_back(s); });
-  for (mnet::SiteId s : peers) {
-    RecoveryQueryBody q{seg, epoch, site()};
-    co_await kernel_->Send(
-        self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kRecoveryQuery),
-                               kShortMsgBytes, q));
-  }
   // Collect the replies, forgiving peers that crash mid-collection (their
   // copies die with them; what they would have reported no longer exists).
   // A peer that crashed and already rejoined is forgiven too: the query died
   // with the old incarnation, and the amnesiac reboot holds no copies.
-  for (;;) {
-    mmem::SiteMask down = 0;
-    ForEachSite(col.awaiting, [&](mnet::SiteId s) {
-      if (GoneSince(s, col.created_at)) {
-        down |= mmem::MaskOf(s);
-      }
+  std::map<mnet::SiteId, std::vector<PageCopyState>> replies;
+  {
+    AckWait w(this, AckRole::kRecovery, seg, epoch, /*deadline=*/0);
+    w.replies = &replies;
+    std::vector<mnet::SiteId> peers;
+    ForEachSite(live_peers, [&](mnet::SiteId s) {
+      w.acks.Owe(s);
+      peers.push_back(s);
     });
-    col.awaiting &= ~down;
-    if (col.awaiting == 0) {
-      break;
+    for (mnet::SiteId s : peers) {
+      RecoveryQueryBody q{seg, epoch, site()};
+      co_await kernel_->Send(
+          self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kRecoveryQuery),
+                                 kShortMsgBytes, q));
     }
-    msim::Duration wait =
-        opts_.ack_timeout_us > 0 ? opts_.ack_timeout_us : opts_.request_timeout_us;
-    if (wait > 0) {
-      co_await kernel_->SleepOnFor(self, col.chan, wait);
-    } else {
-      co_await kernel_->SleepOn(self, col.chan);
-    }
+    (void)co_await AwaitAcks(self, w);  // no deadline: ends once every peer replied or is gone
   }
-  rec_collectors_.erase(seg);
   // Our own copies participate on equal terms.
-  col.replies[site()] = LocalCopyState(seg, page_count);
+  replies[site()] = LocalCopyState(seg, page_count);
 
   // Reconstruct the per-page directory from the survivors' answers:
   //  * a writable copy wins — its holder is writer and clock site;
@@ -1838,7 +1755,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
     mnet::SiteId best_rep = mnet::kNoSite;
     std::uint64_t best_rep_ver = 0;
     mmem::SiteMask rep_holders = 0;
-    for (const auto& [s, states] : col.replies) {
+    for (const auto& [s, states] : replies) {
       if (p >= static_cast<int>(states.size())) {
         continue;
       }
@@ -1924,20 +1841,14 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
   // acks: the new clock sites must actually hold their copy before the
   // library serves requests against the rebuilt directory.
   if (!promotions.empty()) {
-    std::uint64_t req_id = next_req_id_++;
-    LibPending slot;
-    slot.req_id = req_id;
-    slot.expected_acks = static_cast<int>(promotions.size());
-    slot.got_acks = 0;
-    slot.clock_site = mnet::kNoSite;
-    slot.created_at = kernel_->Now();
-    slot.op_deadline = opts_.op_timeout_us > 0 ? kernel_->Now() + opts_.op_timeout_us : 0;
+    // A site owes one ack per page it promotes, and promotions tie-break
+    // to the lowest site, so one site often owes several: forgiving it must
+    // forgive them all.
+    const std::uint64_t req_id = next_req_id_++;
+    AckWait w(this, AckRole::kInstall, seg, req_id, OpDeadline());
     for (const Promotion& pr : promotions) {
-      if (pr.at != site()) {
-        slot.awaiting |= mmem::MaskOf(pr.at);
-      }
+      w.acks.Owe(pr.at);
     }
-    lib_pending_map_[req_id] = &slot;
     for (const Promotion& pr : promotions) {
       PromoteReplicaBody b;
       b.seg = seg;
@@ -1949,7 +1860,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
       b.epoch = epoch;
       if (pr.at == site()) {
         ApplyPromoteReplica(b);
-        CreditInstallAck(req_id, site());
+        w.acks.Credit(site());
       } else {
         co_await kernel_->Send(
             self, mnet::MakePacket(site(), pr.at,
@@ -1957,8 +1868,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
                                    kShortMsgBytes, b));
       }
     }
-    (void)co_await AwaitSlot(self, slot, /*stop_on_wait_reply=*/false);
-    lib_pending_map_.erase(req_id);
+    (void)co_await AwaitAcks(self, w);
   }
 
   stats_.pages_recovered += recovered;
@@ -2040,8 +1950,7 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
   const mnet::SiteId me = site();
   Trace("clock", std::string("execute ") + ClockActionName(op.action) + " page " +
                      std::to_string(op.page));
-  const msim::Time deadline =
-      opts_.op_timeout_us > 0 ? kernel_->Now() + opts_.op_timeout_us : 0;
+  const msim::Time deadline = OpDeadline();
 
   // 1. Invalidate other readers, sequential point-to-point, and wait for the
   //    acknowledgements: no stale copy may survive a write grant (§6.1).
@@ -2050,13 +1959,13 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
   //    the library's own deadline then fails the request.
   mmem::SiteMask inv = op.invalidate_set & ~mmem::MaskOf(me);
   if (inv != 0) {
-    InvAckCollector col;
-    col.expected = mmem::MaskCount(inv);
-    col.awaiting = inv;
-    col.created_at = kernel_->Now();
-    inv_collectors_[{op.seg, op.req_id}] = &col;
+    AckWait w(this, AckRole::kInvalidate, op.seg, op.req_id, deadline);
+    w.epoch = op.epoch;
     std::vector<mnet::SiteId> sites;
-    ForEachSite(inv, [&](mnet::SiteId s) { sites.push_back(s); });
+    ForEachSite(inv, [&](mnet::SiteId s) {
+      w.acks.Owe(s);
+      sites.push_back(s);
+    });
     for (mnet::SiteId s : sites) {
       InvalidatePageBody b{op.seg, op.page, op.req_id, me, op.epoch};
       co_await kernel_->Send(
@@ -2066,47 +1975,15 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
     // Seeded bug (mutation smoke): fire the invalidates but proceed to the
     // grant without waiting for acknowledgements — a window where stale
     // reader copies coexist with the new writable copy.
-    while (!opts_.mutations.drop_invalidate_ack && col.got < col.expected) {
-      if (StaleEpoch(op.seg, op.epoch)) {
-        // A reconstruction overtook this op mid-invalidation; the remaining
-        // acks will never come (survivors fence the stale invalidates).
-        inv_collectors_.erase({op.seg, op.req_id});
+    if (!opts_.mutations.drop_invalidate_ack) {
+      AckWaitResult r = co_await AwaitAcks(self, w);
+      if (r != AckWaitResult::kComplete) {
+        if (r == AckWaitResult::kFailed) {
+          Trace("failure", "clock op abandoned: invalidate ack(s) missing past deadline");
+        }
         co_return false;
       }
-      mmem::SiteMask down = 0;
-      ForEachSite(col.awaiting, [&](mnet::SiteId s) {
-        if (GoneSince(s, col.created_at)) {
-          down |= mmem::MaskOf(s);
-        }
-      });
-      if (down != 0) {
-        int n = mmem::MaskCount(down);
-        col.awaiting &= ~down;
-        col.got += n;
-        stats_.degraded_invalidations += n;
-        Trace("degraded",
-              "forgave " + std::to_string(n) + " invalidate ack(s) from down site(s)");
-        continue;
-      }
-      if (opts_.ack_timeout_us <= 0 && deadline == 0) {
-        co_await kernel_->SleepOn(self, col.chan);
-        continue;
-      }
-      msim::Duration wait = opts_.ack_timeout_us;
-      if (deadline != 0) {
-        msim::Duration to_deadline = deadline - kernel_->Now();
-        if (to_deadline <= 0) {
-          inv_collectors_.erase({op.seg, op.req_id});
-          Trace("failure", "clock op abandoned: invalidate ack(s) missing past deadline");
-          co_return false;
-        }
-        if (wait <= 0 || wait > to_deadline) {
-          wait = to_deadline;
-        }
-      }
-      co_await kernel_->SleepOnFor(self, col.chan, wait);
     }
-    inv_collectors_.erase({op.seg, op.req_id});
   }
 
   // 2. Local transform and data capture (copy before any local invalidation).
@@ -2178,15 +2055,7 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
   }
   if (op.action == ClockAction::kReplicateOnly) {
     // No new holders; tell the library the re-spread committed.
-    if (op.library_site == me) {
-      CreditInstallAck(op.req_id, me);
-    } else {
-      InstallAckBody a{op.seg, op.page, op.req_id, me, op.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(me, op.library_site,
-                                 static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                 kShortMsgBytes, a));
-    }
+    co_await AckInstall(self, op.seg, op.page, op.req_id, op.library_site, op.epoch);
     co_return true;
   }
 
@@ -2215,15 +2084,7 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
         b.data = data;
         ApplyInstall(b);
       }
-      if (op.library_site == me) {
-        CreditInstallAck(op.req_id, me);
-      } else {
-        InstallAckBody a{op.seg, op.page, op.req_id, me, op.epoch};
-        co_await kernel_->Send(
-            self, mnet::MakePacket(me, op.library_site,
-                                   static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                   kShortMsgBytes, a));
-      }
+      co_await AckInstall(self, op.seg, op.page, op.req_id, op.library_site, op.epoch);
     } else if (send_data) {
       PageInstallBody b;
       b.seg = op.seg;

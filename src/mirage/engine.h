@@ -23,12 +23,14 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "src/mem/address_space.h"
 #include "src/mem/backend.h"
 #include "src/mem/page.h"
 #include "src/mem/segment.h"
 #include "src/mem/segment_image.h"
+#include "src/mirage/ack_set.h"
 #include "src/mirage/protocol.h"
 #include "src/mirage/registry.h"
 #include "src/mirage/request_log.h"
@@ -119,6 +121,7 @@ class Engine : public mmem::DsmBackend {
  public:
   Engine(mos::Kernel* kernel, SegmentRegistry* registry, ProtocolOptions opts,
          mtrace::Tracer* tracer = nullptr);
+  ~Engine() override;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -226,47 +229,41 @@ class Engine : public mmem::DsmBackend {
     bool failed = false;
     mos::Channel chan;
   };
-  // One in-flight library operation. The paper's library is strictly
-  // serial (one slot ever live); with parallel_page_ops several live at
-  // once, at most one per page.
-  struct LibPending {
-    std::uint64_t req_id = 0;
-    int expected_acks = 0;
-    int got_acks = 0;
+  // Which protocol wait an AckSet belongs to. With (seg, id) it keys acks_.
+  enum class AckRole : std::uint8_t {
+    kInstall,     // library: install, upgrade and promotion acks (id = req_id)
+    kInvalidate,  // clock site: invalidate acks before a write grant (id = req_id)
+    kReplicate,   // committing site: standby acks for a write quorum (id = req_id)
+    kRecovery,    // reconstructing library: copy-state replies (id = epoch)
+  };
+  enum class AckWaitResult { kComplete, kWaitReply, kStale, kFailed };
+  using AckKey = std::tuple<AckRole, mmem::SegmentId, std::uint64_t>;
+  // One registered ack wait: an AckSet plus what the engine needs to route
+  // acks to it and steer its waiter. Constructing one enters it in acks_;
+  // destroying it takes it out again, on every exit path.
+  struct AckWait {
+    AckWait(Engine* e, AckRole r, mmem::SegmentId s, std::uint64_t id,
+            msim::Time deadline);
+    ~AckWait();
+    AckWait(const AckWait&) = delete;
+    AckWait& operator=(const AckWait&) = delete;
+
+    const AckRole role;
+    const mmem::SegmentId seg;
+    AckSet acks;
+    mos::Channel chan;
+    // kInvalidate, kReplicate: the op's epoch; the wait aborts once fenced.
+    std::uint32_t epoch = 0;
+    // kInstall: the clock site driving the op. If it is gone before any ack
+    // arrives the op can never run, so the wait fails fast.
+    mnet::SiteId clock_site = mnet::kNoSite;
+    // kInstall: the clock site refused with a kWaitReply (§6.1).
     bool wait_reply = false;
     msim::Duration wait_remaining_us = 0;
-    // Sites whose install/upgrade ack is still owed. Acks from crashed
-    // sites are forgiven (degraded completion); see AwaitSlot.
-    mmem::SiteMask awaiting = 0;
-    // Clock site driving this op (kNoSite when the library grants directly
-    // from Empty); if it crashes before any ack arrives, the op fails fast.
-    mnet::SiteId clock_site = mnet::kNoSite;
-    // When the op began — acks owed by a site that crashed at or after this
-    // moment are forgiven even if the site has since rejoined (the in-flight
-    // message died with the old incarnation; see Network::CrashedSince).
-    msim::Time created_at = 0;
-    // Absolute failure deadline (0 = none) from ProtocolOptions::op_timeout_us.
-    msim::Time op_deadline = 0;
-    mos::Channel chan;
-    bool Complete() const { return got_acks >= expected_acks; }
-  };
-  // How a wait on a LibPending slot ended.
-  enum class SlotWait { kComplete, kWaitReply, kFailed };
-  // Collects invalidation acks for one clock-site operation.
-  struct InvAckCollector {
-    int expected = 0;
-    int got = 0;
-    mmem::SiteMask awaiting = 0;  // sites whose invalidate ack is still owed
-    msim::Time created_at = 0;    // for rejoin-aware forgiveness (GoneSince)
-    mos::Channel chan;
-  };
-  // Collects kRecoveryReply copy-states during a directory reconstruction.
-  struct RecoveryCollector {
-    std::uint32_t epoch = 0;
-    mmem::SiteMask awaiting = 0;  // surviving sites still owing a reply
-    msim::Time created_at = 0;    // for rejoin-aware forgiveness (GoneSince)
-    std::map<mnet::SiteId, std::vector<PageCopyState>> replies;
-    mos::Channel chan;
+    // kRecovery: where replies land; the map belongs to the waiter.
+    std::map<mnet::SiteId, std::vector<PageCopyState>>* replies = nullptr;
+    Engine* engine;  // null once detached by a reboot or engine teardown
+    const AckKey key;
   };
   // One queued reconstruction: a successor takeover (election) or an
   // in-place rebuild at a surviving library whose clock site died.
@@ -287,14 +284,6 @@ class Engine : public mmem::DsmBackend {
     std::uint64_t version = 0;
     std::uint32_t epoch = 0;
   };
-  // Collects kReplicateAck messages for one commit's write quorum.
-  struct RepAckCollector {
-    int expected = 0;
-    int got = 0;
-    mmem::SiteMask awaiting = 0;  // replica sites whose ack is still owed
-    msim::Time created_at = 0;    // for rejoin-aware forgiveness (GoneSince)
-    mos::Channel chan;
-  };
 
   static std::uint64_t WaitKey(mmem::SegmentId seg, mmem::PageNum page) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(seg)) << 32) |
@@ -310,33 +299,42 @@ class Engine : public mmem::DsmBackend {
   msim::Task<> RejoinMain(mos::Process* self);
   msim::Task<> HandlePacket(mos::Process* self, mnet::Packet pkt);
 
+  // The failure deadline of an op starting now (0 = none), from
+  // ProtocolOptions::op_timeout_us.
+  msim::Time OpDeadline() const {
+    return opts_.op_timeout_us > 0 ? kernel_->Now() + opts_.op_timeout_us : 0;
+  }
+
   // Library-side request processing. The bool-returning stages report
   // success; on failure the caller marks the page lost and notifies the
   // waiting requesters (the failure model's consistency-over-availability
   // choice: never grant a page whose freshest copy may be unreachable).
-  msim::Task<> ProcessRequest(mos::Process* self, Request req, LibPending& slot);
+  msim::Task<> ProcessRequest(mos::Process* self, Request req);
   msim::Task<bool> GrantFromEmpty(mos::Process* self, PageDir& pd, const Request& req,
                                   mmem::SiteMask batch, std::uint64_t req_id,
-                                  msim::Duration window_us, LibPending& slot);
+                                  msim::Duration window_us, msim::Time op_deadline);
   msim::Task<bool> IssueClockOp(mos::Process* self, mnet::SiteId clock_site, ClockOpBody op,
-                                int expected_acks, LibPending& slot);
+                                msim::Time op_deadline);
   // Executes an accepted clock-site operation (runs in the worker, or inline
   // in the library process when the clock site is colocated). Returns false
   // when the op was abandoned (ack/op deadline expired).
   msim::Task<bool> ExecuteClockOp(mos::Process* self, ClockOpBody op);
-  // Waits on a pending slot until it completes, a wait-reply arrives
-  // (when stop_on_wait_reply), or the recovery policy declares the op
-  // failed. Forgives acks owed by crashed sites along the way.
-  msim::Task<SlotWait> AwaitSlot(mos::Process* self, LibPending& slot, bool stop_on_wait_reply);
-  // True when `s` cannot produce a reply for an op begun at `since`: it is
-  // down now, or it crashed at any point after the op started — even if it
-  // has since rejoined, the message the op awaits died with the old
-  // incarnation (the amnesiac reboot never saw it). The busy-page lock on
-  // the op guarantees the rejoined incarnation holds no copy of the op's
-  // page, so forgiving it never discards live state.
-  bool GoneSince(mnet::SiteId s, msim::Time since) const {
-    return !kernel_->net()->SiteUp(s) || kernel_->net()->CrashedSince(s, since);
-  }
+  // The one ack wait loop: sleeps on `w` until its AckSet completes or
+  // fails, a kWaitReply arrives, or its epoch is fenced, forgiving the acks
+  // of gone sites on every pass (partitioned sites are not gone: they may
+  // still hold a live copy — consistency over availability).
+  msim::Task<AckWaitResult> AwaitAcks(mos::Process* self, AckWait& w);
+  // Credits one ack to the wait registered under (role, seg, id) and wakes
+  // its waiter. Returns the wait, or nullptr when none is registered.
+  AckWait* CreditAck(AckRole role, mmem::SegmentId seg, std::uint64_t id, mnet::SiteId from);
+  AckWait* FindAckWait(AckRole role, mmem::SegmentId seg, std::uint64_t id);
+  // Acks an install, upgrade, promotion or re-spread to the library: a local
+  // credit when the library is this site, a kInstallAck otherwise.
+  msim::Task<> AckInstall(mos::Process* self, mmem::SegmentId seg, mmem::PageNum page,
+                          std::uint64_t req_id, mnet::SiteId library_site, std::uint32_t epoch);
+  // Unregisters every ack wait on reboot or teardown: their coroutines never
+  // run again, and their frames may be destroyed after acks_ is gone.
+  void DetachAckWaits();
   // Tells every waiting requester the operation failed (kRequestFailed).
   msim::Task<> NotifyRequestFailed(mos::Process* self, mmem::SegmentId seg, mmem::PageNum page,
                                    std::uint64_t req_id, mmem::SiteMask requesters);
@@ -356,8 +354,6 @@ class Engine : public mmem::DsmBackend {
                                     const mmem::PageBytes& data, msim::Time op_deadline);
   // Receive side: store / refresh the standby copy (kReplicate).
   void ApplyReplicate(const ReplicateBody& body);
-  // Receive side: credit a quorum collector (kReplicateAck).
-  void CreditReplicateAck(const ReplicateAckBody& body);
   // Receive side: install this site's standby copy as a live read-only
   // primary (kPromoteReplica), then ack the library with kInstallAck.
   void ApplyPromoteReplica(const PromoteReplicaBody& body);
@@ -368,7 +364,6 @@ class Engine : public mmem::DsmBackend {
   void ApplyUpgrade(const UpgradeGrantBody& body);
   void ApplyInvalidate(const InvalidatePageBody& body);
   void ApplyRequestFailed(const RequestFailedBody& body);
-  void CreditInstallAck(std::uint64_t req_id, mnet::SiteId from);
 
   // ---- Library-site failover (election / epoch fencing / reconstruction) ----
   // True when a message stamped `epoch` predates this site's known epoch
@@ -423,8 +418,7 @@ class Engine : public mmem::DsmBackend {
   std::deque<Request> lib_queue_;
   mos::Channel lib_chan_;
   std::vector<mos::Process*> lib_procs_;
-  // In-flight operations keyed by request id, and the pages they own.
-  std::map<std::uint64_t, LibPending*> lib_pending_map_;
+  // Pages with an operation in flight.
   std::set<std::uint64_t> busy_pages_;
   // Destroy-while-busy protection: segments with in-flight library/worker
   // operations are reaped only once those operations drain.
@@ -435,18 +429,17 @@ class Engine : public mmem::DsmBackend {
   std::deque<ClockOpBody> worker_queue_;
   mos::Channel worker_chan_;
   mos::Process* worker_proc_ = nullptr;
-  // Keyed by (segment, request id): request ids are unique only within one
-  // library's counter, and a clock site can execute ops for several
-  // libraries (or a rejoined library restarting its counter) concurrently.
-  std::map<std::pair<mmem::SegmentId, std::uint64_t>, InvAckCollector*> inv_collectors_;
+  // Every ack wait in flight at this site, in every role. The key carries
+  // the segment because request ids are unique only within one library's
+  // counter, and a clock site can execute ops for several libraries (or a
+  // rejoined library restarting its counter) concurrently.
+  std::map<AckKey, AckWait*> acks_;
 
   // ---- Replication state (empty unless replicas >= 2) ----
   // Standby copies held at this site, keyed by WaitKey(seg, page). Never in
   // the SegmentImage: a replica is not a readable copy and must stay
   // invisible to the directory invariants until promoted.
   msim::FlatMap<std::uint64_t, ReplicaCopy> replicas_;
-  // (segment, request id), for the same reason as inv_collectors_.
-  std::map<std::pair<mmem::SegmentId, std::uint64_t>, RepAckCollector*> rep_collectors_;
 
   // ---- Failover state ----
   // Highest epoch seen per segment (all roles); messages below it are fenced.
@@ -456,7 +449,6 @@ class Engine : public mmem::DsmBackend {
   std::deque<RecoveryItem> recovery_queue_;
   mos::Channel recovery_chan_;
   mos::Process* recovery_proc_ = nullptr;
-  std::map<mmem::SegmentId, RecoveryCollector*> rec_collectors_;
 
   RequestLog log_;
   EngineStats stats_;

@@ -156,6 +156,11 @@ void Kernel::Halt() {
   }
   if (running_ != nullptr) {
     running_->state = ProcState::kBlocked;  // frozen mid-computation, forever
+    // A running process sleeps nowhere, so every timer armed by its earlier
+    // sleeps is stale. Retire them: the frozen state would otherwise pass
+    // their guard, and the channel such a timer names may already be gone
+    // with the coroutine frame that owned it.
+    ++running_->block_gen;
     running_ = nullptr;
   }
   nic_queue_.clear();

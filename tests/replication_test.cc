@@ -276,6 +276,81 @@ TEST_F(ReplicationTest, StandbyCrashRespreadsReplicasToSurvivors) {
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
 }
 
+// A reconstruction owes one install ack per promoted page, and promotions
+// tie-break to the lowest site, so one standby holder often owes several.
+// Here site 2 dies holding the only copies of pages 0 and 1; the in-place
+// rebuild promotes both at site 0, which then dies just before its first
+// kPromoteReplica arrives. Forgiving the dead site must forgive every ack it
+// owes: forgiving one per site left the rebuild waiting out the whole 1 s op
+// deadline (and with no deadline, forever).
+TEST_F(ReplicationTest, PromotionTargetCrashForgivesEveryAckItOwes) {
+  auto boot = [this](msim::Time crash_site0_at) {
+    WorldOptions opts;
+    EnableRecovery(opts);
+    opts.protocol.replicas = 2;
+    opts.faults.CrashAt(200 * kMillisecond, 2);
+    if (crash_site0_at > 0) {
+      opts.faults.CrashAt(crash_site0_at, 0);
+    }
+    w = std::make_unique<World>(4, std::move(opts));
+    shmid = w->shm(3).Shmget(1, 4 * mmem::kPageSize, true).value();
+    // Sites 0 and 1 attach first, so they hold the standbys of every page.
+    for (int s = 0; s < 2; ++s) {
+      w->kernel(s).Spawn("standby", Priority::kUser, [this, s](Process* p) -> Task<> {
+        (void)w->shm(s).Shmat(p, shmid).value();
+        co_await w->kernel(s).SleepFor(p, 10 * kSecond);
+      });
+    }
+    w->kernel(2).Spawn("writer", Priority::kUser, [this](Process* p) -> Task<> {
+      auto& shm = w->shm(2);
+      co_await w->kernel(2).SleepFor(p, 20 * kMillisecond);
+      mmem::VAddr base = shm.Shmat(p, shmid).value();
+      co_await shm.WriteWord(p, base, 1);
+      co_await shm.WriteWord(p, base + mmem::kPageSize, 2);
+      co_await w->kernel(2).SleepFor(p, 10 * kSecond);  // crashed at 200 ms
+    });
+  };
+  auto rebuilt = [this] { return w->engine(3)->stats().recoveries_completed >= 1; };
+
+  // Pass 1, site 2's crash only: find when the first promotion reaches site 0.
+  boot(0);
+  msim::Time promote_at = -1;
+  w->network().AddObserver([&promote_at](const mnet::Packet& pkt, msim::Time t) {
+    if (promote_at < 0 && pkt.dst == 0 &&
+        pkt.type == static_cast<std::uint32_t>(mirage::MsgKind::kPromoteReplica)) {
+      promote_at = t;
+    }
+  });
+  ASSERT_TRUE(w->RunUntil(rebuilt, 5 * kSecond));
+  ASSERT_GT(promote_at, 200 * kMillisecond);
+  w->RunFor(100 * kMillisecond);
+  ASSERT_EQ(w->engine(0)->stats().degraded_reads, 2u) << "both pages promote at site 0";
+
+  // Pass 2: site 0 crashes 1 us before that promotion arrives.
+  boot(promote_at - 1);
+  ASSERT_TRUE(w->RunUntil(rebuilt, 5 * kSecond));
+  EXPECT_LT(w->sim().Now(), promote_at + 100 * kMillisecond)
+      << "the rebuild waited for the op deadline instead of forgiving site 0";
+
+  // Nothing is lost: the follow-up rebuild re-homes both pages on site 1's
+  // standbys, which hold the last committed version (the zero page).
+  w->RunFor(3 * kSecond);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(w->engine(s)->stats().pages_lost_in_recovery, 0u) << "site " << s;
+  }
+  bool read = false;
+  w->kernel(1).Spawn("reader", Priority::kUser, [this, &read](Process* p) -> Task<> {
+    auto& shm = w->shm(1);
+    mmem::VAddr base = shm.Shmat(p, shmid).value();
+    EXPECT_EQ(co_await shm.ReadWord(p, base), 0u);
+    EXPECT_EQ(co_await shm.ReadWord(p, base + mmem::kPageSize), 0u);
+    read = true;
+  });
+  ASSERT_TRUE(w->RunUntil([&] { return read; }, 5 * kSecond));
+  mirage::InvariantReport report = CheckInvariants();
+  EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
+}
+
 // Replicated runs stay bit-deterministic: identical faulted runs with
 // replicas = 2 agree on every counter and on the simulated end time.
 TEST_F(ReplicationTest, ReplicatedFaultedRunsAreDeterministic) {
