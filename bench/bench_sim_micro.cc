@@ -3,7 +3,7 @@
 // Measures the event-queue primitives that dominate every experiment sweep —
 // schedule/fire throughput, schedule/cancel throughput, packet round-trips,
 // and a fig8-flavoured end-to-end run — and emits a machine-readable
-// BENCH_sim.json for the CI trajectory.
+// BENCH_sim.json for the CI trajectory, tagged with the host's core count.
 //
 // Every queue benchmark is measured twice: once against the live Simulator
 // (binary heap + slot pool + InlineFunction) and once against an in-binary
@@ -30,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -243,6 +244,7 @@ BenchResult BenchFig8EndToEnd(int iterations) {
 mexp::Json ToJson(const std::vector<BenchResult>& results) {
   mexp::Json root = mexp::Json::Object();
   root.Set("schema", "mirage-bench-sim-v1");
+  root.Set("host_cores", static_cast<double>(std::thread::hardware_concurrency()));
   mexp::Json arr = mexp::Json::Array();
   for (const BenchResult& r : results) {
     mexp::Json b = mexp::Json::Object();

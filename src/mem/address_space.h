@@ -71,10 +71,11 @@ class AddressSpace {
     return base;
   }
 
-  // Detaches a segment. Returns the image pointer if it was attached.
-  SegmentImage* Detach(SegmentId seg) {
+  // Detaches the mapping based at `base`; a segment attached more than once
+  // keeps its other mappings. Returns the image pointer if one was there.
+  SegmentImage* Detach(VAddr base) {
     for (auto it = attaches_.begin(); it != attaches_.end(); ++it) {
-      if (it->seg == seg) {
+      if (it->base == base) {
         SegmentImage* image = it->image;
         attaches_.erase(it);
         return image;

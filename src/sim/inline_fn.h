@@ -65,9 +65,22 @@ class OverflowPool {
   static constexpr std::size_t kBlockBytes = 256;
   static constexpr std::size_t kMaxPooled = 64;
 
+  // Owns the pooled blocks, so a thread's blocks are freed when it exits.
+  struct Blocks {
+    Blocks() = default;
+    Blocks(const Blocks&) = delete;
+    Blocks& operator=(const Blocks&) = delete;
+    ~Blocks() {
+      for (void* p : list) {
+        ::operator delete(p);
+      }
+    }
+    std::vector<void*> list;
+  };
+
   static std::vector<void*>& Freelist() {
-    thread_local std::vector<void*> pool;
-    return pool;
+    thread_local Blocks pool;
+    return pool.list;
   }
 };
 

@@ -66,7 +66,7 @@ Result<void> ShmSystem::Shmdt(mos::Process* p, mmem::VAddr addr) {
     return ShmErr::kInval;
   }
   mmem::SegmentId seg = r->attach->seg;
-  as.Detach(seg);
+  as.Detach(addr);
   UpdateProcessMemoryHooks(p);
   int remaining = registry_->NoteDetach(seg, kernel_->site());
   if (remaining == 0) {
@@ -156,8 +156,8 @@ void ShmSystem::UpdateProcessMemoryHooks(mos::Process* p) {
   }
 }
 
-msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::VAddr addr,
-                                                         bool write) {
+msim::Task<mmem::AddressSpace::Resolved> ShmSystem::Prepare(mos::Process* p, mmem::VAddr addr,
+                                                            bool write) {
   mmem::AddressSpace& as = SpaceFor(p);
   for (;;) {
     auto r = as.Resolve(addr);
@@ -166,7 +166,7 @@ msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::
     }
     switch (as.Check(*r, write)) {
       case mmem::Access::kOk:
-        co_return ResolvedAccess{&as, *r};
+        co_return *r;
       case mmem::Access::kNoWritePermission:
         throw ProtectionFault(addr);
       case mmem::Access::kReadFault:
@@ -187,35 +187,54 @@ msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::
   }
 }
 
-msim::Task<std::uint32_t> ShmSystem::ReadWord(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/false);
-  std::uint32_t v = a.r.attach->image->ReadWord(a.r.page, a.r.offset);
-  NoteAccess(p, a.r, AccessKind::kRead, v);
-  co_return v;
+std::uint32_t ShmSystem::Apply(mos::Process* p, const mmem::AddressSpace::Resolved& r, Op op,
+                               std::uint32_t value) {
+  mmem::SegmentImage* image = r.attach->image;
+  switch (op) {
+    case Op::kReadWord:
+      value = image->ReadWord(r.page, r.offset);
+      NoteAccess(p, r, AccessKind::kRead, value);
+      return value;
+    case Op::kWriteWord:
+      image->WriteWord(r.page, r.offset, value);
+      NoteAccess(p, r, AccessKind::kWrite, value);
+      return value;
+    case Op::kReadByte:
+      return image->ReadByte(r.page, r.offset);
+    case Op::kWriteByte:
+      image->WriteByte(r.page, r.offset, static_cast<std::uint8_t>(value));
+      return value;
+    case Op::kTestAndSet: {
+      std::uint32_t old = image->ReadWord(r.page, r.offset);
+      image->WriteWord(r.page, r.offset, 1);
+      NoteAccess(p, r, AccessKind::kRmw, old);
+      return old;
+    }
+  }
+  return value;
 }
 
-msim::Task<> ShmSystem::WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  a.r.attach->image->WriteWord(a.r.page, a.r.offset, value);
-  NoteAccess(p, a.r, AccessKind::kWrite, value);
+bool ShmSystem::PendingAccess::await_ready() {
+  mmem::AddressSpace& as = shm_->SpaceFor(p_);
+  auto r = as.Resolve(addr_);
+  if (!r.has_value() || as.Check(*r, IsWrite(op_)) != mmem::Access::kOk) {
+    return false;
+  }
+  value_ = shm_->Apply(p_, *r, op_, value_);
+  return true;
 }
 
-msim::Task<std::uint8_t> ShmSystem::ReadByte(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/false);
-  co_return a.r.attach->image->ReadByte(a.r.page, a.r.offset);
+std::coroutine_handle<> ShmSystem::PendingAccess::await_suspend(
+    std::coroutine_handle<> caller) {
+  fault_ = shm_->Prepare(p_, addr_, IsWrite(op_));
+  return fault_.await_suspend(caller);
 }
 
-msim::Task<> ShmSystem::WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  a.r.attach->image->WriteByte(a.r.page, a.r.offset, value);
-}
-
-msim::Task<std::uint32_t> ShmSystem::TestAndSet(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  std::uint32_t old = a.r.attach->image->ReadWord(a.r.page, a.r.offset);
-  a.r.attach->image->WriteWord(a.r.page, a.r.offset, 1);
-  NoteAccess(p, a.r, AccessKind::kRmw, old);
-  co_return old;
+std::uint32_t ShmSystem::PendingAccess::Resume() {
+  if (fault_.Valid()) {
+    value_ = shm_->Apply(p_, fault_.await_resume(), op_, value_);
+  }
+  return value_;
 }
 
 }  // namespace msysv

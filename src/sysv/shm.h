@@ -12,15 +12,21 @@
 // checks the process page table the way the VAX MMU would, raises a typed
 // read or write fault on a miss, and retries once the protocol installs the
 // page. This is the documented substitution for hardware traps (DESIGN.md).
+// Like the MMU, a hit costs nothing extra: the accessors return an awaiter
+// that performs a resident-page access inside `co_await` without suspending
+// or allocating, and only a miss or a violation enters the fault path
+// (DESIGN.md §10.6).
 #ifndef SRC_SYSV_SHM_H_
 #define SRC_SYSV_SHM_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "src/mem/address_space.h"
@@ -28,6 +34,7 @@
 #include "src/mem/page.h"
 #include "src/mirage/registry.h"
 #include "src/os/kernel.h"
+#include "src/sim/task.h"
 #include "src/sysv/result.h"
 
 namespace msysv {
@@ -115,16 +122,71 @@ class ShmSystem {
 
   // ---- Data plane (call only from the owning process's coroutine) ----
 
-  msim::Task<std::uint32_t> ReadWord(mos::Process* p, mmem::VAddr addr);
-  msim::Task<> WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value);
-  msim::Task<std::uint8_t> ReadByte(mos::Process* p, mmem::VAddr addr);
-  msim::Task<> WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value);
+  enum class Op : std::uint8_t { kReadWord, kWriteWord, kReadByte, kWriteByte, kTestAndSet };
+
+  // The awaiter behind every typed accessor. await_ready() is the software
+  // MMU: it translates the address and checks the process PTE, and on a hit
+  // performs the access then and there, so the caller neither suspends nor
+  // allocates. Anything else (a miss, an unmapped address, a write through
+  // a read-only attach) suspends into Prepare, which faults and retries or
+  // throws; the access is then performed when the caller resumes.
+  class PendingAccess {
+   public:
+    PendingAccess(ShmSystem* shm, mos::Process* p, mmem::VAddr addr, Op op, std::uint32_t value)
+        : shm_(shm), p_(p), addr_(addr), op_(op), value_(value) {}
+
+    bool await_ready();
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller);
+
+   protected:
+    // The word or byte read, or the pre-set value of a test-and-set.
+    std::uint32_t Resume();
+
+   private:
+    ShmSystem* shm_;
+    mos::Process* p_;
+    mmem::VAddr addr_;
+    Op op_;
+    std::uint32_t value_;  // the value to write; after the access, the value read
+    msim::Task<mmem::AddressSpace::Resolved> fault_;  // started only on the slow path
+  };
+
+  template <typename T>
+  class [[nodiscard]] Access : public PendingAccess {
+   public:
+    using PendingAccess::PendingAccess;
+    T await_resume() {
+      if constexpr (std::is_void_v<T>) {
+        Resume();
+      } else {
+        return static_cast<T>(Resume());
+      }
+    }
+  };
+
+  // Each accessor must be `co_await`ed at once. Nothing happens before
+  // that: the translation and the PTE check run at `co_await`, not at the
+  // call.
+  Access<std::uint32_t> ReadWord(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kReadWord, 0};
+  }
+  Access<void> WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value) {
+    return {this, p, addr, Op::kWriteWord, value};
+  }
+  Access<std::uint8_t> ReadByte(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kReadByte, 0};
+  }
+  Access<void> WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value) {
+    return {this, p, addr, Op::kWriteByte, value};
+  }
 
   // The VAX interlocked test-and-set (§7.2): atomically sets the word to 1
   // and returns the previous value. Needs a writable copy of the page, so a
   // remote tester write-faults — exactly the interaction the paper warns
   // about. Atomicity comes free from single-writer page exclusivity.
-  msim::Task<std::uint32_t> TestAndSet(mos::Process* p, mmem::VAddr addr);
+  Access<std::uint32_t> TestAndSet(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kTestAndSet, 0};
+  }
 
   // Bulk transfers. Blocks fault page by page like any other access; the
   // block may span pages but must stay within one attached segment.
@@ -161,13 +223,17 @@ class ShmSystem {
   void SetAccessHook(AccessHook h) { access_hook_ = std::move(h); }
 
  private:
-  struct ResolvedAccess {
-    mmem::AddressSpace* as;
-    mmem::AddressSpace::Resolved r;
-  };
-  // Resolves + fault-retries until the access is possible; the heart of all
-  // four typed accessors.
-  msim::Task<ResolvedAccess> Prepare(mos::Process* p, mmem::VAddr addr, bool write);
+  static bool IsWrite(Op op) { return op != Op::kReadWord && op != Op::kReadByte; }
+
+  // Resolves + fault-retries until the access is possible; the slow path of
+  // every typed accessor.
+  msim::Task<mmem::AddressSpace::Resolved> Prepare(mos::Process* p, mmem::VAddr addr,
+                                                   bool write);
+  // Performs `op` on a page the process holds with sufficient rights and
+  // fires the access hook for word ops. Returns what PendingAccess::Resume
+  // returns.
+  std::uint32_t Apply(mos::Process* p, const mmem::AddressSpace::Resolved& r, Op op,
+                      std::uint32_t value);
 
   void UpdateProcessMemoryHooks(mos::Process* p);
 

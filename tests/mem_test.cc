@@ -240,10 +240,10 @@ TEST(AddressSpace, DetachRemovesTranslation) {
   AddressSpace as;
   VAddr base = as.Attach(&img, std::nullopt, true).value();
   EXPECT_TRUE(as.IsAttached(1));
-  EXPECT_EQ(as.Detach(1), &img);
+  EXPECT_EQ(as.Detach(base), &img);
   EXPECT_FALSE(as.IsAttached(1));
   EXPECT_FALSE(as.Resolve(base).has_value());
-  EXPECT_EQ(as.Detach(1), nullptr);
+  EXPECT_EQ(as.Detach(base), nullptr);
   EXPECT_EQ(as.TotalSharedPages(), 0);
 }
 

@@ -1,9 +1,44 @@
 // System V IPC semantics (§2.2): key namespace, creation flags, attach
 // rules, permissions, detach-destroys, shmctl subset, and the typed
-// accessor fault/violation behaviour.
+// accessor fault/violation behaviour, hit path and access hook.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "src/sysv/world.h"
+
+namespace {
+
+// Heap allocations made by the calling thread, counted by the replacement
+// global operator new below (it serves this whole test binary).
+thread_local std::size_t t_heap_allocations = 0;
+
+void* CountedAlloc(std::size_t n) noexcept {
+  ++t_heap_allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* CountedAllocOrThrow(std::size_t n) {
+  if (void* p = CountedAlloc(n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAllocOrThrow(n); }
+void* operator new[](std::size_t n) { return CountedAllocOrThrow(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -127,6 +162,33 @@ TEST_F(SysvTest, ShmdtRequiresExactBase) {
   });
 }
 
+TEST_F(SysvTest, ShmdtDetachesOnlyTheMappingAtAddr) {
+  // One process may attach a segment twice; each shmdt undoes the attach
+  // based at its argument and leaves the other mapping in place.
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  AsProcess(0, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    mmem::VAddr first = shm.Shmat(p, id, mmem::VAddr{0x50000000}).value();
+    mmem::VAddr second = shm.Shmat(p, id, mmem::VAddr{0x90000000}).value();
+    EXPECT_EQ(shm.ShmStat(id).value().nattch, 2);
+    co_await shm.WriteWord(p, first + 8, 4242);
+    EXPECT_TRUE(shm.Shmdt(p, second).ok());
+    EXPECT_EQ(shm.ShmStat(id).value().nattch, 1);
+    std::uint32_t got = 0;
+    bool segv = false;
+    try {
+      got = co_await shm.ReadWord(p, first + 8);
+    } catch (const msysv::SegmentationFault&) {
+      segv = true;
+    }
+    EXPECT_FALSE(segv);
+    EXPECT_EQ(got, 4242u);
+    EXPECT_EQ(shm.Shmdt(p, second).error(), ShmErr::kInval);
+    EXPECT_TRUE(shm.Shmdt(p, first).ok());
+  });
+  EXPECT_EQ(w.shm(0).ShmStat(id).error(), ShmErr::kInval);
+}
+
 TEST_F(SysvTest, RemoveFailsWhileAttached) {
   int id = w.shm(0).Shmget(7, 512, true).value();
   AsProcess(0, [&](Process* p) -> Task<> {
@@ -241,6 +303,93 @@ TEST_F(SysvTest, TwoProcessesShareAtDifferentAddresses) {
     mmem::VAddr base = w.shm(0).Shmat(p, id, mmem::VAddr{0x90000000}).value();
     EXPECT_EQ(co_await w.shm(0).ReadWord(p, base + 8), 4242u);
   });
+}
+
+TEST_F(SysvTest, ResidentPageAccessesDoNotAllocate) {
+  // A hit completes inside co_await: no coroutine frame, no heap traffic.
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  std::size_t allocations = 0;
+  std::uint32_t sum = 0;
+  AsProcess(0, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    co_await shm.WriteWord(p, base, 1);  // faults the page in writable
+    const std::size_t before = t_heap_allocations;
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      co_await shm.WriteWord(p, base + 4, i);
+      sum += co_await shm.ReadWord(p, base + 4);
+      sum += co_await shm.TestAndSet(p, base + 8);
+      co_await shm.WriteByte(p, base + 12, static_cast<std::uint8_t>(i));
+      sum += co_await shm.ReadByte(p, base + 12);
+    }
+    allocations = t_heap_allocations - before;
+  });
+  EXPECT_EQ(allocations, 0u);
+  // sum(i) + 0 + 199 * 1 + sum(i): the reads saw what was written.
+  EXPECT_EQ(sum, 2u * (199u * 200u / 2u) + 199u);
+}
+
+TEST_F(SysvTest, AccessHookFiresOncePerWordAccessInProgramOrder) {
+  using Kind = msysv::ShmSystem::AccessKind;
+  std::vector<msysv::ShmSystem::AccessEvent> events;
+  for (int s = 0; s < 2; ++s) {
+    w.shm(s).SetAccessHook(
+        [&](const msysv::ShmSystem::AccessEvent& ev) { events.push_back(ev); });
+  }
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  int pid1 = -1;
+  int pid0 = -1;
+  // Site 1 write-misses to the library at site 0, then hits.
+  AsProcess(1, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(1);
+    pid1 = p->pid;
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    co_await shm.WriteWord(p, base + 8, 7);
+    EXPECT_EQ(co_await shm.ReadWord(p, base + 8), 7u);
+    EXPECT_EQ(co_await shm.TestAndSet(p, base + 12), 0u);
+    co_await shm.WriteByte(p, base + 20, 0x5A);
+    EXPECT_EQ(co_await shm.ReadByte(p, base + 20), 0x5A);
+    EXPECT_EQ(co_await shm.ReadWord(p, base + 12), 1u);
+  });
+  EXPECT_EQ(w.engine(1)->stats().write_faults, 1u);
+  EXPECT_EQ(w.engine(1)->stats().read_faults, 0u);
+  // Site 0 read-misses on the page site 1 now holds, then write-misses.
+  AsProcess(0, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    pid0 = p->pid;
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    EXPECT_EQ(co_await shm.ReadWord(p, base + 8), 7u);
+    EXPECT_EQ(co_await shm.ReadByte(p, base + 20), 0x5A);
+    co_await shm.WriteWord(p, base + 16, 9);
+    EXPECT_EQ(co_await shm.ReadWord(p, base + 16), 9u);
+  });
+  EXPECT_EQ(w.engine(0)->stats().read_faults, 1u);
+  EXPECT_EQ(w.engine(0)->stats().write_faults, 1u);
+
+  struct Want {
+    int site;
+    int pid;
+    Kind kind;
+    int offset;
+    std::uint32_t value;
+  };
+  const std::vector<Want> want = {
+      {1, pid1, Kind::kWrite, 8, 7}, {1, pid1, Kind::kRead, 8, 7},
+      {1, pid1, Kind::kRmw, 12, 0},  {1, pid1, Kind::kRead, 12, 1},
+      {0, pid0, Kind::kRead, 8, 7},  {0, pid0, Kind::kWrite, 16, 9},
+      {0, pid0, Kind::kRead, 16, 9},
+  };
+  ASSERT_EQ(events.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(events[i].site, want[i].site);
+    EXPECT_EQ(events[i].pid, want[i].pid);
+    EXPECT_EQ(events[i].seg, id);
+    EXPECT_EQ(events[i].page, 0);
+    EXPECT_EQ(events[i].kind, want[i].kind);
+    EXPECT_EQ(events[i].offset, want[i].offset);
+    EXPECT_EQ(events[i].value, want[i].value);
+  }
 }
 
 }  // namespace
