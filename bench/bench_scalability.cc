@@ -6,8 +6,9 @@
 // (no multicast in Locus, §7.1 caveat 2) before the write is granted, so
 // write latency grows linearly in the reader count.
 //
-// The sweep runs on the experiment harness (src/exp); the same spec widened
-// with a frame-loss axis is `examples/experiment_runner scalematrix`.
+// The sweep is the first seven site counts of the experiment harness's
+// `scalematrix` preset (src/exp/spec.cc) without its frame-loss axis;
+// `examples/experiment_runner scalematrix` runs the whole matrix.
 #include <cstdio>
 #include <iostream>
 
@@ -15,16 +16,9 @@
 #include "src/trace/table.h"
 
 int main() {
-  mexp::ExperimentSpec spec;
-  spec.name = "scalability";
-  spec.workload = "scalability";
-  spec.sites = {2, 3, 4, 6, 8, 10, 12};
-  // A modest window keeps the hot page with the writer long enough to
-  // write; at Delta=0 the always-hungry readers steal the page back first
-  // and the system thrashes (§5.0's pathological case).
-  spec.delta_ms = {50};
-  spec.rounds = 8;
-  spec.max_time_s = 600;
+  mexp::ExperimentSpec spec = *mexp::Preset("scalematrix");
+  spec.sites.resize(7);  // 2..12, the paper-sized networks
+  spec.loss = {0.0};
 
   mexp::ExperimentReport report = mexp::ExperimentRunner().Run(spec);
 

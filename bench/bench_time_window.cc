@@ -12,43 +12,20 @@
 //  * on the same site, background (non-DSM) throughput *improves* as Delta
 //    grows — err on the retention side for overall system throughput.
 //
-// Both sweeps run on the experiment harness (src/exp): one declarative spec
-// per table, repetitions = the five start phases (the simulator is
-// deterministic, so phase resonances between the two loops are averaged out
-// explicitly), executed on all available cores and merged in spec order.
-// `examples/experiment_runner fig8` runs the same spec from the CLI.
+// Both sweeps are the experiment harness's `fig8` and `amelioration` presets
+// (src/exp/spec.cc), executed on all available cores and merged in spec
+// order; `examples/experiment_runner fig8` runs the same spec from the CLI.
 #include <cstdio>
 #include <iostream>
 
 #include "src/exp/runner.h"
 #include "src/trace/table.h"
 
-namespace {
-
-mexp::ExperimentSpec SweepSpec(std::vector<std::int64_t> delta_ms, bool with_background) {
-  mexp::ExperimentSpec spec;
-  spec.name = with_background ? "amelioration" : "fig8";
-  spec.workload = "readwriters";
-  spec.sites = {2};
-  spec.delta_ms = std::move(delta_ms);
-  // ~0.8 s of decrement work per process per checkout epoch; continuous
-  // demand, as in the loops of §8.
-  spec.iterations = 50000;
-  spec.repetitions = 5;
-  spec.phase_offsets_ms = {0, 170, 410, 730, 1130};
-  spec.with_background = with_background;
-  spec.max_time_s = 600;
-  return spec;
-}
-
-}  // namespace
-
 int main() {
   mexp::ExperimentRunner runner;
 
   std::printf("Figure 8: two conflicting read-writers, throughput vs Delta\n\n");
-  mexp::ExperimentReport fig8_report = runner.Run(
-      SweepSpec({0, 10, 30, 60, 120, 200, 300, 450, 600, 900, 1200, 1600, 2000}, false));
+  mexp::ExperimentReport fig8_report = runner.Run(*mexp::Preset("fig8"));
   mtrace::TextTable fig8({"Delta (ms)", "read-write ops/s"});
   for (const mexp::PointResult& pt : fig8_report.points) {
     fig8.AddRow({mtrace::TextTable::Int(pt.params.delta_ms),
@@ -60,7 +37,7 @@ int main() {
 
   std::printf("§7.3/§8: thrashing amelioration — background compute process at site 0\n");
   std::printf("(application throughput is traded for overall system throughput)\n\n");
-  mexp::ExperimentReport amel_report = runner.Run(SweepSpec({0, 60, 300, 900, 2000}, true));
+  mexp::ExperimentReport amel_report = runner.Run(*mexp::Preset("amelioration"));
   mtrace::TextTable amel({"Delta (ms)", "app ops/s", "background units/s"});
   for (const mexp::PointResult& pt : amel_report.points) {
     amel.AddRow({mtrace::TextTable::Int(pt.params.delta_ms),

@@ -1,10 +1,12 @@
-// The experiment harness CLI: declarative parameter sweeps executed on a
-// worker-thread pool, with streaming statistics and machine-readable output.
+// The experiment CLI: one run or a declarative parameter sweep, executed on
+// a worker-thread pool, with streaming statistics and machine-readable
+// output. Every run goes through mexp::ExecuteRun, so a one-run report and
+// a sweep point with the same parameters measure the same simulation.
 //
 // Usage:
 //   experiment_runner [preset | --spec=FILE.json] [options]
 //
-// Presets:
+// Presets (src/exp/spec.cc):
 //   fig8         the paper's Figure 8 Delta sweep (two conflicting
 //                read-writers; matches bench_time_window's numbers)
 //   amelioration §7.3/§8 background-throughput sweep (bench_time_window's
@@ -30,7 +32,8 @@
 //   --delta=0,120,600        time-window axis (ms)
 //   --quantum=6              scheduling-quantum axis (ticks)
 //   --segbytes=512           segment-size axis (bytes)
-//   --loss=0,0.02            frame-loss axis (probability)
+//   --loss=0,0.02            frame-loss axis (probability; virtual circuits
+//                            retransmit)
 //   --replicas=1,2,3         page-replication-degree axis (1 = single copy)
 //   --zipf=0,0.9,1.3         kvstore key-popularity-skew axis
 //   --mix=0.5,0.95           kvstore get-fraction axis
@@ -43,16 +46,23 @@
 //   --offsets=0,170,410      per-repetition start phases (ms)
 //   --seed=N                 spec seed (per-run seeds derive from it)
 //   --iters=N --rounds=N     workload sizes
+//   --no-yield               busy-wait instead of yield() in spin loops
+//   --parallel-lib           concurrent library service of distinct pages
+//   --li                     run over the Li/Hudak protocol, not Mirage
 //   --lib=S                  pre-create the segment at site S (its library
 //                            site) so a crash plan can target a pure
 //                            controller (pingpong/readwriters)
 //   --crash=S@T --pause=S@T1:T2 --cut=A-B@T1:T2
-//                            add one fault plan (repeatable; scenario_runner
-//                            syntax, times in ms)
-//   --recover=T:SITE         revive a crashed site at T ms (appends to the
-//                            most recent fault plan, so place it after the
-//                            --crash it undoes)
+//                            add one fault plan (repeatable; times in ms)
+//   --recover=T:SITE         revive a crashed site at T ms with amnesia
+//                            (appends to the most recent fault plan, so
+//                            place it after the --crash it undoes)
 //   --max-time-s=600         per-run simulated-time cap
+//
+// Any fault plan enables the protocol recovery timeouts (request backoff,
+// ack timeouts, op deadline) and, under --loss, forced sequencing, so
+// healed partitions recover by retransmission. Specs from flags and from
+// --spec files pass the same range checks (ExperimentSpec::Validate).
 //
 // Execution and output:
 //   --threads=N     worker threads (default: hardware concurrency). The
@@ -65,40 +75,49 @@
 //   --baseline=FILE diff against a stored JSON report; regressions beyond
 //                   --tolerance (default 0.10) exit non-zero
 //   --quiet         no stderr progress ticker
+//   --report        for a spec that expands to exactly one run: print a
+//                   text report (workload figures, per-site counters,
+//                   fault-latency percentiles, a post-run invariant check
+//                   scoped to live sites, circuit counters) instead of JSON
+//   --trace         with --report, also print the protocol event trace
+//
+// Exit code: 2 for bad arguments. Otherwise 0, or 1 if a run failed (or, with
+// --report, if the workload did not complete, e.g. EIDRM under faults).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/exp/report.h"
-#include "src/net/cost_model.h"
 #include "src/trace/table.h"
 
 namespace {
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
+// Parses a comma-separated list of numbers (names, for T = std::string)
+// into *out; false on an empty list or an empty item.
+template <typename T>
+bool ParseList(const std::string& arg, std::vector<T>* out) {
+  std::vector<T> vals;
+  std::stringstream ss(arg);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    out.push_back(item);
-  }
-  return out;
-}
-
-template <typename T, typename Fn>
-bool ParseList(const std::string& arg, std::vector<T>* out, Fn convert) {
-  std::vector<T> vals;
-  for (const std::string& s : SplitCommas(arg)) {
-    if (s.empty()) {
+    if (item.empty()) {
       return false;
     }
-    vals.push_back(convert(s));
+    if constexpr (std::is_same_v<T, std::string>) {
+      vals.push_back(item);
+    } else if constexpr (std::is_integral_v<T>) {
+      vals.push_back(static_cast<T>(std::strtoll(item.c_str(), nullptr, 10)));
+    } else {
+      vals.push_back(static_cast<T>(std::strtod(item.c_str(), nullptr)));
+    }
   }
   if (vals.empty()) {
     return false;
@@ -107,130 +126,19 @@ bool ParseList(const std::string& arg, std::vector<T>* out, Fn convert) {
   return true;
 }
 
-mexp::ExperimentSpec Fig8Spec() {
-  mexp::ExperimentSpec spec;
-  spec.name = "fig8";
-  spec.workload = "readwriters";
-  spec.sites = {2};
-  spec.delta_ms = {0, 10, 30, 60, 120, 200, 300, 450, 600, 900, 1200, 1600, 2000};
-  spec.repetitions = 5;
-  spec.phase_offsets_ms = {0, 170, 410, 730, 1130};
-  spec.iterations = 50000;
-  spec.max_time_s = 600;
-  return spec;
-}
-
-mexp::ExperimentSpec AmeliorationSpec() {
-  mexp::ExperimentSpec spec = Fig8Spec();
-  spec.name = "amelioration";
-  spec.delta_ms = {0, 60, 300, 900, 2000};
-  spec.with_background = true;
-  return spec;
-}
-
-mexp::ExperimentSpec ScaleMatrixSpec() {
-  mexp::ExperimentSpec spec;
-  spec.name = "scalematrix";
-  spec.workload = "scalability";
-  // Extends well past the paper's testbed: the wide tail (up to 512 sites,
-  // SiteMask is 512 bits wide) maps how sequential point-to-point
-  // invalidation scales, and is where the parallel simulator core pays off
-  // (run with MIRAGE_SIM_WORKERS=4; the loss-free points are eligible).
-  spec.sites = {2, 3, 4, 6, 8, 10, 12, 16, 32, 64, 128, 256, 512};
-  spec.delta_ms = {50};
-  spec.loss = {0.0, 0.01};
-  spec.rounds = 8;
-  spec.repetitions = 1;
-  spec.max_time_s = 600;
-  return spec;
-}
-
-mexp::ExperimentSpec AvailabilitySpec() {
-  mexp::ExperimentSpec spec;
-  spec.name = "availability";
-  spec.workload = "pingpong";
-  spec.sites = {3, 4, 6, 8};
-  spec.delta_ms = {0};
-  spec.rounds = 40;
-  spec.repetitions = 3;
-  // The segment lives on site 2, a pure controller: the ping-pong players
-  // (sites 0 and 1) hold every copy, so crashing the library tests failover
-  // alone, not data loss.
-  spec.library_site = 2;
-  // Replication axis: k=1 is the paper's single-copy protocol, k=2..3 add
-  // quorum-replicated standbys. The fault-free plan prices the quorum-write
-  // latency of each k; crash_holder shows what a data-holder crash destroys
-  // (pages_lost > 0 only at k=1).
-  spec.replicas = {1, 2, 3};
-  mexp::FaultPlanSpec none;
-  none.name = "none";
-  spec.fault_plans.push_back(std::move(none));
-  mexp::FaultPlanSpec crash;
-  crash.name = "crash_library";
-  crash.plan.CrashAt(50 * msim::kMillisecond, 2);
-  spec.fault_plans.push_back(std::move(crash));
-  // Crash a ping-pong player (site 1) mid-run: it holds page copies, so this
-  // plan measures data survival, not just controller failover. The run can't
-  // complete (a player died) — pages_lost is the metric of interest.
-  mexp::FaultPlanSpec holder;
-  holder.name = "crash_holder";
-  holder.plan.CrashAt(50 * msim::kMillisecond, 1);
-  spec.fault_plans.push_back(std::move(holder));
-  // The full crash-recovery lifecycle: the dead player rejoins at 150 ms
-  // with amnesia, re-admits through the epoch-fenced handshake, and is
-  // pulled back into the standby set. The report gains mttr_ms /
-  // resurrected_pages (only this plan emits them); at k>=2 the rejoin
-  // re-attains full k-replica coverage and pages_lost stays 0.
-  mexp::FaultPlanSpec rejoin;
-  rejoin.name = "crash_holder_rejoin";
-  rejoin.plan.CrashAt(50 * msim::kMillisecond, 1);
-  rejoin.plan.RecoverAt(150 * msim::kMillisecond, 1);
-  spec.fault_plans.push_back(std::move(rejoin));
-  spec.max_time_s = 60;
-  return spec;
-}
-
-mexp::ExperimentSpec KvStoreSpec() {
-  mexp::ExperimentSpec spec;
-  spec.name = "kvstore";
-  spec.workload = "kvstore";
-  spec.sites = {4};
-  spec.delta_ms = {0, 30};
-  // The skew sensitivity story in one CI-sized grid. At kv_replicas=1 and
-  // the read-heavy mix, rising zipf-s concentrates traffic on one shard's
-  // home: throughput falls, get latency climbs, and lib_load_max_share
-  // shows the pile-up. A second data replica recovers the read side — get
-  // latency and library balance go flat across the whole sweep — at a flat
-  // write-amplification cost in throughput; the write-heavy mix pays double
-  // for every set and shows the replication tax undiluted.
-  spec.zipf_s = {0.0, 0.9, 1.3};
-  spec.get_mix = {0.5, 0.95};
-  spec.kv_replicas = {1, 2};
-  // 3 reps x 400 ops/site: enough load past warm-up for the trends above to
-  // be monotone rather than seed noise, still ~seconds of wall time.
-  spec.repetitions = 3;
-  spec.kv_ops_per_site = 400;
-  spec.kv_arrival_per_s = 240.0;
-  spec.max_time_s = 120;
-  return spec;
-}
-
-bool LoadSpecFile(const std::string& path, mexp::ExperimentSpec* spec) {
+// Reads and parses a JSON file; false, with a message, on failure.
+bool ReadJsonFile(const std::string& path, const char* what, mexp::Json* out) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open spec file '%s'\n", path.c_str());
+    std::fprintf(stderr, "cannot open %s '%s'\n", what, path.c_str());
     return false;
   }
   std::stringstream buf;
   buf << in.rdbuf();
   std::string error;
-  mexp::Json j = mexp::Json::Parse(buf.str(), &error);
+  *out = mexp::Json::Parse(buf.str(), &error);
   if (!error.empty()) {
-    std::fprintf(stderr, "spec parse error: %s\n", error.c_str());
-    return false;
-  }
-  if (!mexp::ExperimentSpec::FromJson(j, spec, &error)) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+    std::fprintf(stderr, "%s parse error: %s\n", what, error.c_str());
     return false;
   }
   return true;
@@ -268,9 +176,10 @@ void PrintSummary(const mexp::ExperimentReport& report) {
 
 int main(int argc, char** argv) {
   mexp::ExperimentSpec spec;
-  bool have_spec = false;
   int threads = 0;
   bool quiet = false;
+  bool report_mode = false;
+  bool trace = false;
   std::string out_path;
   std::string csv_path;
   std::string baseline_path;
@@ -281,66 +190,40 @@ int main(int argc, char** argv) {
     std::string s = argv[i];
     auto value = [&s]() { return s.substr(s.find('=') + 1); };
     bool ok = true;
-    if (s == "fig8") {
-      spec = Fig8Spec();
-      have_spec = true;
-    } else if (s == "amelioration") {
-      spec = AmeliorationSpec();
-      have_spec = true;
-    } else if (s == "scalematrix") {
-      spec = ScaleMatrixSpec();
-      have_spec = true;
-    } else if (s == "availability") {
-      spec = AvailabilitySpec();
-      have_spec = true;
-    } else if (s == "kvstore") {
-      spec = KvStoreSpec();
-      have_spec = true;
+    if (std::optional<mexp::ExperimentSpec> preset = mexp::Preset(s)) {
+      spec = *preset;
     } else if (s.rfind("--spec=", 0) == 0) {
-      if (!LoadSpecFile(value(), &spec)) {
+      mexp::Json j;
+      std::string error;
+      if (!ReadJsonFile(value(), "spec file", &j)) {
         return 2;
       }
-      have_spec = true;
+      if (!mexp::ExperimentSpec::FromJson(j, &spec, &error)) {
+        std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+        return 2;
+      }
     } else if (s.rfind("--workload=", 0) == 0) {
       spec.workload = value();
     } else if (s.rfind("--sites=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.sites,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
+      ok = ParseList(value(), &spec.sites);
     } else if (s.rfind("--delta=", 0) == 0) {
-      ok = ParseList<std::int64_t>(value(), &spec.delta_ms,
-                                   [](const std::string& v) { return std::atol(v.c_str()); });
+      ok = ParseList(value(), &spec.delta_ms);
     } else if (s.rfind("--quantum=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.quantum_ticks,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
+      ok = ParseList(value(), &spec.quantum_ticks);
     } else if (s.rfind("--segbytes=", 0) == 0) {
-      ok = ParseList<std::uint32_t>(value(), &spec.segment_bytes, [](const std::string& v) {
-        return static_cast<std::uint32_t>(std::atol(v.c_str()));
-      });
+      ok = ParseList(value(), &spec.segment_bytes);
     } else if (s.rfind("--loss=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.loss,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
+      ok = ParseList(value(), &spec.loss);
     } else if (s.rfind("--replicas=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.replicas,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
+      ok = ParseList(value(), &spec.replicas);
     } else if (s.rfind("--zipf=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.zipf_s,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
+      ok = ParseList(value(), &spec.zipf_s);
     } else if (s.rfind("--mix=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.get_mix,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
+      ok = ParseList(value(), &spec.get_mix);
     } else if (s.rfind("--kvreplicas=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.kv_replicas,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
+      ok = ParseList(value(), &spec.kv_replicas);
     } else if (s.rfind("--cost=", 0) == 0) {
-      ok = ParseList<std::string>(value(), &spec.cost_presets,
-                                  [](const std::string& v) { return v; });
-      for (const std::string& cp : spec.cost_presets) {
-        mnet::CostModel unused;
-        if (!mnet::CostModel::FromName(cp, &unused)) {
-          std::fprintf(stderr, "unknown cost preset '%s' (ethernet1989, rdma)\n", cp.c_str());
-          return 2;
-        }
-      }
+      ok = ParseList(value(), &spec.cost_presets);
     } else if (s.rfind("--keys=", 0) == 0) {
       spec.kv_keys = static_cast<std::uint32_t>(std::atol(value().c_str()));
     } else if (s.rfind("--rate=", 0) == 0) {
@@ -348,8 +231,7 @@ int main(int argc, char** argv) {
     } else if (s.rfind("--kvops=", 0) == 0) {
       spec.kv_ops_per_site = static_cast<std::uint32_t>(std::atol(value().c_str()));
     } else if (s.rfind("--offsets=", 0) == 0) {
-      ok = ParseList<std::int64_t>(value(), &spec.phase_offsets_ms,
-                                   [](const std::string& v) { return std::atol(v.c_str()); });
+      ok = ParseList(value(), &spec.phase_offsets_ms);
     } else if (s.rfind("--reps=", 0) == 0) {
       spec.repetitions = std::atoi(value().c_str());
     } else if (s.rfind("--seed=", 0) == 0) {
@@ -358,6 +240,12 @@ int main(int argc, char** argv) {
       spec.iterations = std::atoi(value().c_str());
     } else if (s.rfind("--rounds=", 0) == 0) {
       spec.rounds = std::atoi(value().c_str());
+    } else if (s == "--no-yield") {
+      spec.use_yield = false;
+    } else if (s == "--parallel-lib") {
+      spec.parallel_lib = true;
+    } else if (s == "--li") {
+      spec.baseline = true;
     } else if (s.rfind("--lib=", 0) == 0) {
       spec.library_site = std::atoi(value().c_str());
     } else if (s.rfind("--max-time-s=", 0) == 0) {
@@ -420,6 +308,10 @@ int main(int argc, char** argv) {
       tolerance = std::atof(value().c_str());
     } else if (s == "--quiet") {
       quiet = true;
+    } else if (s == "--report") {
+      report_mode = true;
+    } else if (s == "--trace") {
+      trace = true;
     } else {
       std::fprintf(stderr, "unknown argument '%s' (see the header comment for usage)\n",
                    s.c_str());
@@ -430,11 +322,36 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  (void)have_spec;  // flags alone define a valid default spec
-
-  if (!mexp::KnownWorkload(spec.workload)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", spec.workload.c_str());
+  if (std::string error; !spec.Validate(&error)) {
+    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
     return 2;
+  }
+  if (trace && !report_mode) {
+    std::fprintf(stderr, "--trace prints with --report only\n");
+    return 2;
+  }
+  if (report_mode) {
+    std::vector<mexp::RunConfig> runs = spec.Expand();
+    if (runs.size() != 1) {
+      std::fprintf(stderr, "--report needs a spec that expands to one run, not %zu\n",
+                   runs.size());
+      return 2;
+    }
+    if (!out_path.empty() || !csv_path.empty() || !baseline_path.empty()) {
+      std::fprintf(stderr, "--report prints text only (no --out, --csv or --baseline)\n");
+      return 2;
+    }
+    mexp::RunConfig& cfg = runs.front();
+    cfg.trace = trace;
+    mexp::RunResult result =
+        mexp::ExecuteRun(cfg, [&cfg](msysv::World& world, const mexp::RunResult& r) {
+          mexp::PrintRunReport(world, cfg, r, std::cout);
+        });
+    if (!result.ok) {
+      std::fprintf(stderr, "run failed: %s\n", result.error.c_str());
+      return 1;
+    }
+    return result.metrics.at("completed") == 1.0 ? 0 : 1;
   }
 
   mexp::ExperimentRunner runner(threads);
@@ -493,17 +410,8 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline '%s'\n", baseline_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    mexp::Json base = mexp::Json::Parse(buf.str(), &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "baseline parse error: %s\n", error.c_str());
+    mexp::Json base;
+    if (!ReadJsonFile(baseline_path, "baseline", &base)) {
       return 2;
     }
     std::vector<mexp::DiffEntry> diffs = mexp::DiffReports(base, doc, tolerance);

@@ -3,6 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/mirage/invariants.h"
+#include "src/sysv/world.h"
+#include "src/trace/table.h"
+
 namespace mexp {
 
 namespace {
@@ -170,6 +174,120 @@ void WriteCsv(const ExperimentReport& report, std::ostream& os) {
       os << prefix << row.name << "," << row.n << "," << Json::NumberToString(row.value)
          << ",,,,\n";
     }
+  }
+}
+
+void PrintRunReport(msysv::World& world, const RunConfig& cfg, const RunResult& result,
+                    std::ostream& os) {
+  using mtrace::TextTable;
+  auto metric = [&result](const std::string& name) {
+    auto it = result.metrics.find(name);
+    return it == result.metrics.end() ? 0.0 : it->second;
+  };
+  auto count = [&metric](const std::string& name) {
+    return TextTable::Int(static_cast<long long>(metric(name)));
+  };
+
+  os << "scenario: " << cfg.workload << ", " << cfg.sites << " sites, Delta=" << cfg.delta_ms
+     << " ms" << (cfg.use_yield ? "" : ", no yield")
+     << (cfg.parallel_lib ? ", parallel library" : "")
+     << (cfg.baseline ? ", Li/Hudak baseline" : "");
+  if (cfg.cost_preset != "ethernet1989") {
+    os << ", " << cfg.cost_preset << " costs";
+  }
+  if (cfg.loss > 0.0) {
+    os << ", " << TextTable::Num(cfg.loss * 100.0, 0) << "% frame loss";
+  }
+  if (cfg.replicas > 1) {
+    os << ", " << cfg.replicas << " replicas";
+  }
+  if (!cfg.faults.empty()) {
+    os << ", " << cfg.faults.events().size() << " fault events";
+  }
+  os << "\n\n";
+  if (metric("aborted") != 0.0) {
+    os << "workload aborted: a page fault failed (EIDRM)\n";
+  }
+
+  const std::string& w = cfg.workload;
+  if (w == "pingpong") {
+    os << "throughput: " << TextTable::Num(metric("throughput")) << " cycles/s over "
+       << count("cycles") << " cycles\n";
+  } else if (w == "readwriters") {
+    os << "throughput: " << TextTable::Num(metric("throughput"), 0) << " read-write ops/s\n";
+    if (cfg.with_background) {
+      os << "background: " << TextTable::Num(metric("background_units_per_s"), 1)
+         << " units/s\n";
+    }
+  } else if (w == "spinlock") {
+    os << "throughput: " << TextTable::Num(metric("throughput"))
+       << " critical sections/s (mutex " << (metric("mutex_held") != 0.0 ? "held" : "BROKEN")
+       << ")\n";
+  } else if (w == "scalability") {
+    os << "mean write latency: " << TextTable::Num(metric("mean_write_latency_ms"), 1)
+       << " ms, " << TextTable::Num(metric("invalidations_per_round"), 1)
+       << " invalidations/round\n";
+  } else if (w == "kvstore") {
+    os << "throughput: " << TextTable::Num(metric("throughput"), 1) << " ops/s ("
+       << count("kv_gets") << " gets, " << count("kv_sets") << " sets; " << count("kv_misses")
+       << " misses, " << count("kv_torn_reads") << " torn, " << count("kv_integrity_failures")
+       << " integrity failures)\n";
+    os << "request queues: peak " << count("kv_queue_peak") << ", mean depth "
+       << TextTable::Num(metric("kv_queue_mean_depth")) << "\n";
+    for (const char* op : {"get", "set"}) {
+      const std::string m = std::string("kv_") + op;
+      os << op << " latency (arrival to completion): mean=" << metric(m + "_mean_ms")
+         << "ms p50=" << metric(m + "_p50_ms") << "ms p95=" << metric(m + "_p95_ms")
+         << "ms p99=" << metric(m + "_p99_ms") << "ms\n";
+    }
+  } else {  // matrix, dot, tsp: timed and checked against a reference answer
+    const bool tsp = w == "tsp";
+    const bool verified = metric("verified") != 0.0;
+    os << "elapsed: " << TextTable::Num(metric("elapsed_s"), 3) << " s ("
+       << (verified ? (tsp ? "optimal" : "verified") : (tsp ? "SUBOPTIMAL" : "WRONG RESULT"))
+       << ")";
+    if (tsp) {
+      os << ", " << count("nodes_expanded") << " nodes";
+    }
+    os << "\n";
+  }
+  os << "\n";
+
+  world.PrintReport(os);
+  if (result.read_latency.count() > 0) {
+    result.read_latency.Print(os, "all-site read-fault latency");
+  }
+  if (result.write_latency.count() > 0) {
+    result.write_latency.Print(os, "all-site write-fault latency");
+  }
+  if (!cfg.baseline) {
+    // Under faults the checker is scoped to live sites: a crashed site's
+    // frozen copies left the system, and coherence and directory/image
+    // agreement must still hold among the survivors, across any failover.
+    std::vector<mirage::Engine*> engines;
+    for (int s = 0; s < world.site_count(); ++s) {
+      engines.push_back(world.engine(s));
+    }
+    world.RunFor(2 * msim::kSecond);  // quiesce
+    mirage::InvariantChecker checker(engines);
+    if (mfault::FaultInjector* inj = world.faults()) {
+      checker.SetLiveness([inj](mnet::SiteId s) { return inj->SiteUp(s); });
+    }
+    const mirage::InvariantReport inv = checker.CheckFull(world.registry());
+    os << "\ninvariants: " << (inv.ok() ? "OK" : "VIOLATED") << " (" << inv.pages_checked
+       << " pages checked)\n";
+    for (const std::string& v : inv.violations) {
+      os << "  !! " << v << "\n";
+    }
+  }
+  if (const mnet::CircuitStats* cs = world.network().circuit_stats()) {
+    os << "\ncircuits: " << cs->data_frames_sent << " data frames, " << cs->frames_dropped
+       << " dropped, " << cs->retransmits << " retransmits, " << cs->duplicates_suppressed
+       << " duplicates suppressed\n";
+  }
+  if (cfg.trace) {
+    os << "\nprotocol trace:\n";
+    world.tracer().Print(os);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/exp/run.h"
 
+#include <algorithm>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -38,6 +39,7 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
     throw std::runtime_error("unknown cost preset '" + cfg.cost_preset + "'");
   }
   opts.parallel_ok = ParallelSafeWorkload(cfg.workload);
+  opts.enable_trace = cfg.trace;
   opts.sched.quantum_ticks = cfg.quantum_ticks;
   opts.protocol.default_window_us = cfg.delta_ms * msim::kMillisecond;
   opts.protocol.parallel_page_ops = cfg.parallel_lib;
@@ -50,7 +52,7 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
   if (!cfg.faults.empty()) {
     opts.faults = cfg.faults;
     // Recovery timeouts: the paper's wait-forever defaults would hang any
-    // client of a crashed library site (same policy as scenario_runner).
+    // client of a crashed library site, and with it the whole sweep.
     opts.protocol.request_timeout_us = 250 * msim::kMillisecond;
     opts.protocol.max_request_attempts = 5;
     opts.protocol.ack_timeout_us = 250 * msim::kMillisecond;
@@ -82,8 +84,7 @@ void CollectCommon(msysv::World& world, RunResult* out) {
     out->metrics["circuit_retransmits"] = static_cast<double>(cs->retransmits);
     out->metrics["circuit_duplicates"] = static_cast<double>(cs->duplicates_suppressed);
   }
-  mirage::EngineStats sum;
-  bool any_engine = false;
+  const mirage::EngineStats sum = world.EngineTotals();
   std::vector<mirage::Engine*> engines;
   std::uint64_t busiest_lib = 0;  // most library requests processed by one site
   for (int s = 0; s < world.site_count(); ++s) {
@@ -91,49 +92,12 @@ void CollectCommon(msysv::World& world, RunResult* out) {
     if (e == nullptr) {
       continue;
     }
-    any_engine = true;
     engines.push_back(e);
-    const mirage::EngineStats& es = e->stats();
-    sum.read_faults += es.read_faults;
-    sum.write_faults += es.write_faults;
-    sum.pages_installed += es.pages_installed;
-    sum.upgrades_received += es.upgrades_received;
-    sum.downgrades_performed += es.downgrades_performed;
-    sum.local_invalidations += es.local_invalidations;
-    sum.wait_replies_sent += es.wait_replies_sent;
-    sum.request_timeouts += es.request_timeouts;
-    sum.faults_failed += es.faults_failed;
-    sum.degraded_acks += es.degraded_acks;
-    sum.degraded_invalidations += es.degraded_invalidations;
-    sum.ops_failed += es.ops_failed;
-    sum.elections_won += es.elections_won;
-    sum.recoveries_completed += es.recoveries_completed;
-    sum.pages_recovered += es.pages_recovered;
-    sum.pages_lost_in_recovery += es.pages_lost_in_recovery;
-    sum.stale_epoch_drops += es.stale_epoch_drops;
-    sum.recovery_replies_sent += es.recovery_replies_sent;
-    sum.fail_notices_sent += es.fail_notices_sent;
-    sum.fail_notices_received += es.fail_notices_received;
-    sum.replica_writes += es.replica_writes;
-    sum.quorum_waits += es.quorum_waits;
-    sum.degraded_reads += es.degraded_reads;
-    sum.replica_respreads += es.replica_respreads;
-    sum.rejoins += es.rejoins;
-    sum.rejoin_welcomes += es.rejoin_welcomes;
-    sum.pages_resurrected += es.pages_resurrected;
-    sum.requests_processed += es.requests_processed;
-    sum.lib_enqueues += es.lib_enqueues;
-    sum.lib_queue_depth_sum += es.lib_queue_depth_sum;
-    if (es.lib_queue_peak > sum.lib_queue_peak) {
-      sum.lib_queue_peak = es.lib_queue_peak;  // peak is a max across sites
-    }
-    if (es.requests_processed > busiest_lib) {
-      busiest_lib = es.requests_processed;
-    }
+    busiest_lib = std::max(busiest_lib, e->stats().requests_processed);
     out->read_latency.Merge(e->read_fault_latency());
     out->write_latency.Merge(e->write_fault_latency());
   }
-  if (any_engine) {
+  if (!engines.empty()) {
     out->metrics["read_faults"] = static_cast<double>(sum.read_faults);
     out->metrics["write_faults"] = static_cast<double>(sum.write_faults);
     out->metrics["pages_installed"] = static_cast<double>(sum.pages_installed);
@@ -196,13 +160,7 @@ void CollectCommon(msysv::World& world, RunResult* out) {
 
 }  // namespace
 
-bool KnownWorkload(const std::string& name) {
-  return name == "readwriters" || name == "pingpong" || name == "spinlock" ||
-         name == "scalability" || name == "matrix" || name == "dot" || name == "tsp" ||
-         name == "kvstore";
-}
-
-RunResult ExecuteRun(const RunConfig& cfg) {
+RunResult ExecuteRun(const RunConfig& cfg, const WorldHook& on_finish) {
   RunResult out;
   if (!KnownWorkload(cfg.workload)) {
     out.error = "unknown workload '" + cfg.workload + "'";
@@ -280,14 +238,9 @@ RunResult ExecuteRun(const RunConfig& cfg) {
       auto r = mwork::LaunchScalability(world, prm);
       completed = run_until([&] { return r->completed; });
       out.metrics["mean_write_latency_ms"] = r->MeanWriteLatencyMs();
-      std::uint64_t inv = 0;
-      for (int s = 0; s < world.site_count(); ++s) {
-        if (const mirage::Engine* e = world.engine(s)) {
-          inv += e->stats().local_invalidations;
-        }
-      }
       out.metrics["invalidations_per_round"] =
-          static_cast<double>(inv) / static_cast<double>(prm.rounds);
+          static_cast<double>(world.EngineTotals().local_invalidations) /
+          static_cast<double>(prm.rounds);
     } else if (cfg.workload == "matrix") {
       mwork::MatrixParams prm;
       prm.n = cfg.matrix_n;
@@ -350,6 +303,9 @@ RunResult ExecuteRun(const RunConfig& cfg) {
     out.metrics["completed"] = completed ? 1.0 : 0.0;
     out.metrics["aborted"] = aborted ? 1.0 : 0.0;
     CollectCommon(world, &out);
+    if (on_finish) {
+      on_finish(world, out);
+    }
     out.ok = true;
   } catch (const std::exception& e) {
     out.error = e.what();

@@ -8,11 +8,16 @@
 #ifndef SRC_EXP_RUN_H_
 #define SRC_EXP_RUN_H_
 
+#include <functional>
 #include <map>
 #include <string>
 
 #include "src/exp/spec.h"
 #include "src/trace/histogram.h"
+
+namespace msysv {
+class World;
+}  // namespace msysv
 
 namespace mexp {
 
@@ -31,10 +36,12 @@ struct RunResult {
   mtrace::LatencyHistogram write_latency;
 };
 
-// Workload names understood by ExecuteRun.
-bool KnownWorkload(const std::string& name);
+// Called with the World a run built and ran, after its result is collected
+// and before the World is destroyed (experiment_runner --report prints from
+// it). The hook may advance the World; the result is already final.
+using WorldHook = std::function<void(msysv::World&, const RunResult&)>;
 
-RunResult ExecuteRun(const RunConfig& cfg);
+RunResult ExecuteRun(const RunConfig& cfg, const WorldHook& on_finish = nullptr);
 
 }  // namespace mexp
 

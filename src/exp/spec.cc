@@ -296,10 +296,6 @@ bool ExperimentSpec::FromJson(const Json& j, ExperimentSpec* out, std::string* e
       }
       spec.cost_presets.push_back(cp.AsString());
     }
-    if (spec.cost_presets.empty()) {
-      *error = "'cost_presets' must be non-empty";
-      return false;
-    }
   }
   const Json* plans = j.Find("fault_plans");
   if (plans != nullptr) {
@@ -345,49 +341,209 @@ bool ExperimentSpec::FromJson(const Json& j, ExperimentSpec* out, std::string* e
       static_cast<std::uint32_t>(j.GetInt("kv_ops_per_site", spec.kv_ops_per_site));
   spec.kv_workers = static_cast<int>(j.GetInt("kv_workers", spec.kv_workers));
   spec.kv_shards = static_cast<std::uint32_t>(j.GetInt("kv_shards", spec.kv_shards));
-  if (spec.repetitions < 1) {
-    *error = "repetitions must be >= 1";
+  if (!spec.Validate(error)) {
     return false;
-  }
-  for (int s : spec.sites) {
-    if (s < 1 || s > 512) {
-      *error = "sites values must be in 1..512";
-      return false;
-    }
-  }
-  for (const std::string& cp : spec.cost_presets) {
-    mnet::CostModel unused;
-    if (!mnet::CostModel::FromName(cp, &unused)) {
-      *error = "unknown cost preset '" + cp + "'";
-      return false;
-    }
-  }
-  for (int k : spec.replicas) {
-    if (k < 1 || k > 12) {
-      *error = "replicas values must be in 1..12";
-      return false;
-    }
-  }
-  for (int k : spec.kv_replicas) {
-    if (k < 1 || k > 12) {
-      *error = "kv_replicas values must be in 1..12";
-      return false;
-    }
-  }
-  for (double g : spec.get_mix) {
-    if (g < 0.0 || g > 1.0) {
-      *error = "get_mix values must be in [0, 1]";
-      return false;
-    }
-  }
-  for (double z : spec.zipf_s) {
-    if (z < 0.0) {
-      *error = "zipf_s values must be >= 0";
-      return false;
-    }
   }
   *out = std::move(spec);
   return true;
+}
+
+bool ExperimentSpec::Validate(std::string* error) const {
+  auto fail = [error](std::string message) {
+    *error = std::move(message);
+    return false;
+  };
+  if (!KnownWorkload(workload)) {
+    return fail("unknown workload '" + workload + "'");
+  }
+  if (PointCount() == 0) {
+    return fail("every axis needs at least one value");
+  }
+  if (repetitions < 1) {
+    return fail("repetitions must be >= 1");
+  }
+  for (int s : sites) {
+    if (s < 1 || s > 512) {
+      return fail("sites values must be in 1..512");
+    }
+  }
+  for (const std::string& cp : cost_presets) {
+    mnet::CostModel unused;
+    if (!mnet::CostModel::FromName(cp, &unused)) {
+      return fail("unknown cost preset '" + cp + "' (ethernet1989, rdma)");
+    }
+  }
+  for (int k : replicas) {
+    if (k < 1 || k > 12) {
+      return fail("replicas values must be in 1..12");
+    }
+  }
+  for (int k : kv_replicas) {
+    if (k < 1 || k > 12) {
+      return fail("kv_replicas values must be in 1..12");
+    }
+  }
+  for (double g : get_mix) {
+    if (g < 0.0 || g > 1.0) {
+      return fail("get_mix values must be in [0, 1]");
+    }
+  }
+  for (double z : zipf_s) {
+    if (z < 0.0) {
+      return fail("zipf_s values must be >= 0");
+    }
+  }
+  for (const FaultPlanSpec& fp : fault_plans) {
+    std::string why;
+    if (!fp.plan.Validate(&why)) {
+      return fail("fault plan '" + fp.name + "': " + why);
+    }
+  }
+  return true;
+}
+
+bool KnownWorkload(const std::string& name) {
+  return name == "readwriters" || name == "pingpong" || name == "spinlock" ||
+         name == "scalability" || name == "matrix" || name == "dot" || name == "tsp" ||
+         name == "kvstore";
+}
+
+namespace {
+
+ExperimentSpec Fig8Spec() {
+  ExperimentSpec spec;
+  spec.name = "fig8";
+  spec.workload = "readwriters";
+  spec.sites = {2};
+  spec.delta_ms = {0, 10, 30, 60, 120, 200, 300, 450, 600, 900, 1200, 1600, 2000};
+  // Repetitions are the five start phases: the simulator is deterministic,
+  // so phase resonances between the two loops are averaged out explicitly.
+  spec.repetitions = 5;
+  spec.phase_offsets_ms = {0, 170, 410, 730, 1130};
+  // ~0.8 s of decrement work per process per checkout epoch; continuous
+  // demand, as in the loops of §8.
+  spec.iterations = 50000;
+  spec.max_time_s = 600;
+  return spec;
+}
+
+ExperimentSpec AmeliorationSpec() {
+  ExperimentSpec spec = Fig8Spec();
+  spec.name = "amelioration";
+  spec.delta_ms = {0, 60, 300, 900, 2000};
+  spec.with_background = true;
+  return spec;
+}
+
+ExperimentSpec ScaleMatrixSpec() {
+  ExperimentSpec spec;
+  spec.name = "scalematrix";
+  spec.workload = "scalability";
+  // Extends well past the paper's testbed: the wide tail (up to 512 sites,
+  // SiteMask is 512 bits wide) maps how sequential point-to-point
+  // invalidation scales, and is where the parallel simulator core pays off
+  // (run with MIRAGE_SIM_WORKERS=4; the loss-free points are eligible).
+  spec.sites = {2, 3, 4, 6, 8, 10, 12, 16, 32, 64, 128, 256, 512};
+  // A modest window keeps the hot page with the writer long enough to
+  // write; at Delta=0 the always-hungry readers steal the page back first
+  // and the system thrashes (§5.0's pathological case).
+  spec.delta_ms = {50};
+  spec.loss = {0.0, 0.01};
+  spec.rounds = 8;
+  spec.repetitions = 1;
+  spec.max_time_s = 600;
+  return spec;
+}
+
+ExperimentSpec AvailabilitySpec() {
+  ExperimentSpec spec;
+  spec.name = "availability";
+  spec.workload = "pingpong";
+  spec.sites = {3, 4, 6, 8};
+  spec.delta_ms = {0};
+  spec.rounds = 40;
+  spec.repetitions = 3;
+  // The segment lives on site 2, a pure controller: the ping-pong players
+  // (sites 0 and 1) hold every copy, so crashing the library tests failover
+  // alone, not data loss.
+  spec.library_site = 2;
+  // Replication axis: k=1 is the paper's single-copy protocol, k=2..3 add
+  // quorum-replicated standbys. The fault-free plan prices the quorum-write
+  // latency of each k; crash_holder shows what a data-holder crash destroys
+  // (pages_lost > 0 only at k=1).
+  spec.replicas = {1, 2, 3};
+  FaultPlanSpec none;
+  none.name = "none";
+  spec.fault_plans.push_back(std::move(none));
+  FaultPlanSpec crash;
+  crash.name = "crash_library";
+  crash.plan.CrashAt(50 * msim::kMillisecond, 2);
+  spec.fault_plans.push_back(std::move(crash));
+  // Crash a ping-pong player (site 1) mid-run: it holds page copies, so this
+  // plan measures data survival, not just controller failover. The run can't
+  // complete (a player died) — pages_lost is the metric of interest.
+  FaultPlanSpec holder;
+  holder.name = "crash_holder";
+  holder.plan.CrashAt(50 * msim::kMillisecond, 1);
+  spec.fault_plans.push_back(std::move(holder));
+  // The full crash-recovery lifecycle: the dead player rejoins at 150 ms
+  // with amnesia, re-admits through the epoch-fenced handshake, and is
+  // pulled back into the standby set. The report gains mttr_ms /
+  // resurrected_pages (only this plan emits them); at k>=2 the rejoin
+  // re-attains full k-replica coverage and pages_lost stays 0.
+  FaultPlanSpec rejoin;
+  rejoin.name = "crash_holder_rejoin";
+  rejoin.plan.CrashAt(50 * msim::kMillisecond, 1);
+  rejoin.plan.RecoverAt(150 * msim::kMillisecond, 1);
+  spec.fault_plans.push_back(std::move(rejoin));
+  spec.max_time_s = 60;
+  return spec;
+}
+
+ExperimentSpec KvStoreSpec() {
+  ExperimentSpec spec;
+  spec.name = "kvstore";
+  spec.workload = "kvstore";
+  spec.sites = {4};
+  spec.delta_ms = {0, 30};
+  // The skew sensitivity story in one CI-sized grid. At kv_replicas=1 and
+  // the read-heavy mix, rising zipf-s concentrates traffic on one shard's
+  // home: throughput falls, get latency climbs, and lib_load_max_share
+  // shows the pile-up. A second data replica recovers the read side — get
+  // latency and library balance go flat across the whole sweep — at a flat
+  // write-amplification cost in throughput; the write-heavy mix pays double
+  // for every set and shows the replication tax undiluted.
+  spec.zipf_s = {0.0, 0.9, 1.3};
+  spec.get_mix = {0.5, 0.95};
+  spec.kv_replicas = {1, 2};
+  // 3 reps x 400 ops/site: enough load past warm-up for the trends above to
+  // be monotone rather than seed noise, still ~seconds of wall time.
+  spec.repetitions = 3;
+  spec.kv_ops_per_site = 400;
+  spec.kv_arrival_per_s = 240.0;
+  spec.max_time_s = 120;
+  return spec;
+}
+
+}  // namespace
+
+std::optional<ExperimentSpec> Preset(const std::string& name) {
+  if (name == "fig8") {
+    return Fig8Spec();
+  }
+  if (name == "amelioration") {
+    return AmeliorationSpec();
+  }
+  if (name == "scalematrix") {
+    return ScaleMatrixSpec();
+  }
+  if (name == "availability") {
+    return AvailabilitySpec();
+  }
+  if (name == "kvstore") {
+    return KvStoreSpec();
+  }
+  return std::nullopt;
 }
 
 }  // namespace mexp

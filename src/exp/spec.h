@@ -14,6 +14,7 @@
 #define SRC_EXP_SPEC_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,9 @@ struct RunConfig {
   bool use_yield = true;
   bool parallel_lib = false;
   bool baseline = false;
+  // Record the protocol trace (World::tracer) for a text report. Never set
+  // by Expand() and never serialized: it changes output, not results.
+  bool trace = false;
   msim::Duration max_time_us = 600 * msim::kSecond;
   // kvstore scalar tunables (see mwork::KvStoreParams).
   std::uint32_t kv_keys = 192;
@@ -152,11 +156,25 @@ struct ExperimentSpec {
   // The seed for global run `run_index`, splitmix-derived from the spec seed.
   static std::uint64_t DeriveSeed(std::uint64_t base, int run_index);
 
+  // The range checks every spec passes before it runs, whether it came
+  // from a JSON file or from CLI flags: a known workload, non-empty axes,
+  // sites in 1..512, replicas and kv_replicas in 1..12, get_mix in [0, 1],
+  // zipf_s >= 0, known cost presets and self-consistent fault plans.
+  // Returns false and sets *error on the first violation.
+  bool Validate(std::string* error) const;
+
   Json ToJson() const;
-  // Parses a spec; unknown members are ignored, absent ones keep defaults.
-  // Returns false and sets *error on malformed input.
+  // Parses and validates a spec; unknown members are ignored, absent ones
+  // keep defaults. Returns false and sets *error on malformed input.
   static bool FromJson(const Json& j, ExperimentSpec* out, std::string* error);
 };
+
+// Workload names understood by ExecuteRun.
+bool KnownWorkload(const std::string& name);
+
+// The named presets (EXPERIMENTS.md): "fig8", "amelioration",
+// "scalematrix", "availability" and "kvstore". nullopt for any other name.
+std::optional<ExperimentSpec> Preset(const std::string& name);
 
 // Fault plan (de)serialization, shared with the report emitter.
 Json FaultPlanToJson(const FaultPlanSpec& fp);

@@ -18,6 +18,53 @@ mnet::SiteId FirstSite(const mmem::SiteMask& mask) {
 
 }  // namespace
 
+// Every field is a std::uint64_t: a new one must be totalled below too.
+static_assert(sizeof(EngineStats) == 39 * sizeof(std::uint64_t),
+              "EngineStats::operator+= must total every field");
+
+EngineStats& EngineStats::operator+=(const EngineStats& o) {
+  read_faults += o.read_faults;
+  write_faults += o.write_faults;
+  remote_requests_sent += o.remote_requests_sent;
+  local_requests += o.local_requests;
+  requests_processed += o.requests_processed;
+  requests_dropped += o.requests_dropped;
+  read_batches += o.read_batches;
+  batched_extra_reads += o.batched_extra_reads;
+  pages_installed += o.pages_installed;
+  upgrades_received += o.upgrades_received;
+  downgrades_performed += o.downgrades_performed;
+  local_invalidations += o.local_invalidations;
+  wait_replies_sent += o.wait_replies_sent;
+  invalidation_retries += o.invalidation_retries;
+  queued_invalidations += o.queued_invalidations;
+  clock_ops_executed += o.clock_ops_executed;
+  request_timeouts += o.request_timeouts;
+  faults_failed += o.faults_failed;
+  degraded_acks += o.degraded_acks;
+  degraded_invalidations += o.degraded_invalidations;
+  ops_failed += o.ops_failed;
+  fail_notices_sent += o.fail_notices_sent;
+  fail_notices_received += o.fail_notices_received;
+  elections_won += o.elections_won;
+  recoveries_completed += o.recoveries_completed;
+  pages_recovered += o.pages_recovered;
+  pages_lost_in_recovery += o.pages_lost_in_recovery;
+  recovery_replies_sent += o.recovery_replies_sent;
+  stale_epoch_drops += o.stale_epoch_drops;
+  replica_writes += o.replica_writes;
+  quorum_waits += o.quorum_waits;
+  degraded_reads += o.degraded_reads;
+  replica_respreads += o.replica_respreads;
+  rejoins += o.rejoins;
+  rejoin_welcomes += o.rejoin_welcomes;
+  pages_resurrected += o.pages_resurrected;
+  lib_enqueues += o.lib_enqueues;
+  lib_queue_depth_sum += o.lib_queue_depth_sum;
+  lib_queue_peak = std::max(lib_queue_peak, o.lib_queue_peak);
+  return *this;
+}
+
 const char* MsgKindName(MsgKind k) {
   switch (k) {
     case MsgKind::kPageRequest:
@@ -2139,23 +2186,10 @@ Engine::PageWait& Engine::WaitFor(mmem::SegmentId seg, mmem::PageNum page) {
   return *it->second;
 }
 
-void Engine::WakeWaiters(mmem::SegmentId seg, mmem::PageNum page) {
-  kernel_->Wakeup(WaitFor(seg, page).chan);
-}
-
 void Engine::Trace(const char* category, std::string detail) {
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Record(kernel_->Now(), site(), category, std::move(detail));
   }
-}
-
-mnet::Packet Engine::ShortPacket(mnet::SiteId dst, MsgKind kind) const {
-  mnet::Packet p;
-  p.src = site();
-  p.dst = dst;
-  p.type = static_cast<std::uint32_t>(kind);
-  p.size_bytes = kShortMsgBytes;
-  return p;
 }
 
 // ------------------------------------------------------------------ tuning --

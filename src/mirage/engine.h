@@ -91,6 +91,10 @@ struct EngineStats {
   std::uint64_t lib_enqueues = 0;         // requests queued at this library
   std::uint64_t lib_queue_peak = 0;       // deepest the request queue has been
   std::uint64_t lib_queue_depth_sum = 0;  // sum of depths seen by arriving requests
+
+  // Totals another site's statistics into these: every counter adds, and
+  // lib_queue_peak, a per-site high-water mark, takes the max.
+  EngineStats& operator+=(const EngineStats& o);
 };
 
 // Library-side page directory state (Table 1 "Current" column).
@@ -388,10 +392,7 @@ class Engine : public mmem::DsmBackend {
   msim::Duration LocalWindowRemaining(mmem::SegmentId seg, mmem::PageNum page) const;
   mmem::SegmentImage& ImageRef(mmem::SegmentId seg);
   PageWait& WaitFor(mmem::SegmentId seg, mmem::PageNum page);
-  void WakeWaiters(mmem::SegmentId seg, mmem::PageNum page);
   void Trace(const char* category, std::string detail);
-
-  mnet::Packet ShortPacket(mnet::SiteId dst, MsgKind kind) const;
 
   mos::Kernel* kernel_;
   SegmentRegistry* registry_;

@@ -51,8 +51,6 @@ Process* Kernel::FindProcess(int pid) const {
   return nullptr;
 }
 
-bool Kernel::Busy() const { return running_ != nullptr || AnyReady(); }
-
 // ---------------------------------------------------------------- network --
 
 void Kernel::OnPacket(mnet::Packet pkt) {

@@ -180,9 +180,6 @@ class Kernel {
   Process* running() const { return running_; }
   Process* FindProcess(int pid) const;
 
-  // True if any non-interrupt process is ready or running (used by tests).
-  bool Busy() const;
-
  private:
   friend struct TimedBlockAwaiter;
   friend struct TimedSleepOnAwaiter;

@@ -137,7 +137,18 @@ mirage::Engine* World::engine(int site) {
 
 void World::RunFor(msim::Duration d) { sim_.RunUntil(sim_.Now() + d); }
 
+mirage::EngineStats World::EngineTotals() {
+  mirage::EngineStats sum;
+  for (int s = 0; s < site_count(); ++s) {
+    if (const mirage::Engine* e = engine(s)) {
+      sum += e->stats();
+    }
+  }
+  return sum;
+}
+
 void World::PrintReport(std::ostream& os) {
+  const mirage::EngineStats sum = EngineTotals();
   os << "simulated time: " << msim::ToMilliseconds(sim_.Now()) << " ms\n";
   const auto& ns = net_->stats();
   os << "network: " << ns.packets << " packets (" << ns.short_packets << " short, "
@@ -153,59 +164,27 @@ void World::PrintReport(std::ostream& os) {
     os << "faults injected: " << fs.crashes << " crashes, " << fs.pauses << " pauses, "
        << fs.partitions << " partitions (" << fs.heals << " healed), " << fs.circuits_down
        << " circuits declared down\n";
-    std::uint64_t timeouts = 0, failed = 0, degraded = 0, lost_ops = 0;
-    std::uint64_t elections = 0, rebuilds = 0, pages_rec = 0, pages_lost = 0, fenced = 0;
-    for (int s = 0; s < site_count(); ++s) {
-      const mirage::Engine* e = engine(s);
-      if (e != nullptr) {
-        const mirage::EngineStats& es = e->stats();
-        timeouts += es.request_timeouts;
-        failed += es.faults_failed;
-        degraded += es.degraded_acks + es.degraded_invalidations;
-        lost_ops += es.ops_failed;
-        elections += es.elections_won;
-        rebuilds += es.recoveries_completed;
-        pages_rec += es.pages_recovered;
-        pages_lost += es.pages_lost_in_recovery;
-        fenced += es.stale_epoch_drops;
-      }
-    }
-    os << "recovery: " << timeouts << " request timeouts, " << failed << " faults failed, "
-       << degraded << " acks forgiven (degraded), " << lost_ops << " ops failed\n";
-    if (elections + rebuilds + fenced > 0) {
-      os << "failover: " << elections << " elections, " << rebuilds
-         << " directories reconstructed, " << pages_rec << " pages recovered, " << pages_lost
-         << " pages lost, " << fenced << " stale-epoch packets fenced\n";
+    os << "recovery: " << sum.request_timeouts << " request timeouts, " << sum.faults_failed
+       << " faults failed, " << sum.degraded_acks + sum.degraded_invalidations
+       << " acks forgiven (degraded), " << sum.ops_failed << " ops failed\n";
+    if (sum.elections_won + sum.recoveries_completed + sum.stale_epoch_drops > 0) {
+      os << "failover: " << sum.elections_won << " elections, " << sum.recoveries_completed
+         << " directories reconstructed, " << sum.pages_recovered << " pages recovered, "
+         << sum.pages_lost_in_recovery << " pages lost, " << sum.stale_epoch_drops
+         << " stale-epoch packets fenced\n";
     }
     if (fs.recoveries > 0) {
-      std::uint64_t welcomes = 0, resurrected = 0;
-      for (int s = 0; s < site_count(); ++s) {
-        if (const mirage::Engine* e = engine(s)) {
-          welcomes += e->stats().rejoin_welcomes;
-          resurrected += e->stats().pages_resurrected;
-        }
-      }
       const double mttr_ms = msim::ToMilliseconds(fs.downtime_us) /
                              static_cast<double>(fs.recoveries);
       os << "rejoin: " << fs.recoveries << " site(s) rejoined (MTTR "
-         << mtrace::TextTable::Num(mttr_ms, 1) << " ms), " << welcomes
-         << " re-admissions answered, " << resurrected << " pages resurrected\n";
+         << mtrace::TextTable::Num(mttr_ms, 1) << " ms), " << sum.rejoin_welcomes
+         << " re-admissions answered, " << sum.pages_resurrected << " pages resurrected\n";
     }
   }
-  std::uint64_t rep_writes = 0, quorum_waits = 0, degraded_reads = 0, respreads = 0;
-  for (int s = 0; s < site_count(); ++s) {
-    if (const mirage::Engine* e = engine(s)) {
-      const mirage::EngineStats& es = e->stats();
-      rep_writes += es.replica_writes;
-      quorum_waits += es.quorum_waits;
-      degraded_reads += es.degraded_reads;
-      respreads += es.replica_respreads;
-    }
-  }
-  if (rep_writes + quorum_waits + degraded_reads + respreads > 0) {
-    os << "replication: " << rep_writes << " replica writes, " << quorum_waits
-       << " quorum waits, " << degraded_reads << " degraded reads, " << respreads
-       << " re-spreads\n";
+  if (sum.replica_writes + sum.quorum_waits + sum.degraded_reads + sum.replica_respreads > 0) {
+    os << "replication: " << sum.replica_writes << " replica writes, " << sum.quorum_waits
+       << " quorum waits, " << sum.degraded_reads << " degraded reads, "
+       << sum.replica_respreads << " re-spreads\n";
   }
   // Library load: one line per site that acted as a segment controller. The
   // mean queue depth is as seen by arriving requests (a load-weighted view).

@@ -81,6 +81,9 @@ class World {
   mirage::Engine* engine(int site);
   // The fault injector, or nullptr when the world runs without a fault plan.
   mfault::FaultInjector* faults() { return injector_.get(); }
+  // Every Mirage engine's statistics totalled (EngineStats::operator+=);
+  // all zero under a non-Mirage backend.
+  mirage::EngineStats EngineTotals();
 
   // Advances simulated time by `d`.
   void RunFor(msim::Duration d);

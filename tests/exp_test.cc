@@ -1,16 +1,19 @@
-// Tests for the experiment harness: spec expansion and seed derivation,
-// JSON round trips, streaming statistics, the parallel runner's determinism
-// across thread counts, and baseline regression diffing.
+// Tests for the experiment harness: spec expansion, validation and seed
+// derivation, JSON round trips, streaming statistics, the parallel runner's
+// determinism across thread counts, the one-run report path, and baseline
+// regression diffing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
 #include "src/exp/spec.h"
 #include "src/exp/stats.h"
+#include "src/sysv/world.h"
 
 namespace {
 
@@ -121,6 +124,81 @@ TEST(ExperimentSpec, FromJsonRejectsBadInput) {
   EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
   bad = mexp::Json::Parse(R"({"cost_presets": ["token-ring"]})", &error);
   EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
+}
+
+// CLI flags and --spec files pass the same checks: each bad value is
+// rejected by Validate on a built spec and by FromJson on the same value.
+TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
+  struct Case {
+    const char* json;
+    void (*apply)(mexp::ExperimentSpec*);
+  };
+  const Case cases[] = {
+      {R"({"get_mix": [1.5]})", [](mexp::ExperimentSpec* s) { s->get_mix = {1.5}; }},
+      {R"({"replicas": [40]})", [](mexp::ExperimentSpec* s) { s->replicas = {40}; }},
+      {R"({"sites": [0]})", [](mexp::ExperimentSpec* s) { s->sites = {0}; }},
+      {R"({"kv_replicas": [0]})", [](mexp::ExperimentSpec* s) { s->kv_replicas = {0}; }},
+      {R"({"zipf_s": [-1]})", [](mexp::ExperimentSpec* s) { s->zipf_s = {-1.0}; }},
+      {R"({"repetitions": 0})", [](mexp::ExperimentSpec* s) { s->repetitions = 0; }},
+      {R"({"workload": "bogus"})", [](mexp::ExperimentSpec* s) { s->workload = "bogus"; }},
+      {R"({"cost_presets": ["token-ring"]})",
+       [](mexp::ExperimentSpec* s) { s->cost_presets = {"token-ring"}; }},
+      {R"({"fault_plans": [{"name": "p",)"
+       R"( "events": [{"kind": "recover", "at_ms": 5, "site": 1}]}]})",
+       [](mexp::ExperimentSpec* s) {
+         mexp::FaultPlanSpec fp;
+         fp.plan.RecoverAt(5 * msim::kMillisecond, 1);  // never crashed
+         s->fault_plans = {fp};
+       }},
+  };
+  std::string error;
+  EXPECT_TRUE(mexp::ExperimentSpec().Validate(&error)) << error;
+  for (const Case& c : cases) {
+    mexp::ExperimentSpec built;
+    c.apply(&built);
+    error.clear();
+    EXPECT_FALSE(built.Validate(&error)) << c.json;
+    EXPECT_FALSE(error.empty()) << c.json;
+
+    mexp::ExperimentSpec parsed;
+    mexp::Json j = mexp::Json::Parse(c.json, &error);
+    ASSERT_TRUE(error.empty()) << c.json << ": " << error;
+    EXPECT_FALSE(mexp::ExperimentSpec::FromJson(j, &parsed, &error)) << c.json;
+    EXPECT_FALSE(error.empty()) << c.json;
+  }
+  mexp::ExperimentSpec empty_axis;
+  empty_axis.delta_ms.clear();
+  EXPECT_FALSE(empty_axis.Validate(&error));
+}
+
+TEST(ExperimentSpec, PresetsAreValidAndNamed) {
+  for (const char* name : {"fig8", "amelioration", "scalematrix", "availability", "kvstore"}) {
+    std::optional<mexp::ExperimentSpec> spec = mexp::Preset(name);
+    ASSERT_TRUE(spec.has_value()) << name;
+    EXPECT_EQ(spec->name, name);
+    std::string error;
+    EXPECT_TRUE(spec->Validate(&error)) << name << ": " << error;
+  }
+  EXPECT_FALSE(mexp::Preset("fig9").has_value());
+}
+
+TEST(EngineStats, AccumulateAddsCountersAndMaxesQueuePeak) {
+  mirage::EngineStats a;
+  a.read_faults = 3;
+  a.pages_lost_in_recovery = 1;
+  a.lib_queue_depth_sum = 10;
+  a.lib_queue_peak = 4;
+  mirage::EngineStats b;
+  b.read_faults = 2;
+  b.rejoin_welcomes = 5;
+  b.lib_queue_depth_sum = 7;
+  b.lib_queue_peak = 2;
+  a += b;
+  EXPECT_EQ(a.read_faults, 5u);
+  EXPECT_EQ(a.pages_lost_in_recovery, 1u);
+  EXPECT_EQ(a.rejoin_welcomes, 5u);
+  EXPECT_EQ(a.lib_queue_depth_sum, 17u);
+  EXPECT_EQ(a.lib_queue_peak, 4u);  // a high-water mark: max, not sum
 }
 
 TEST(Json, ParseDumpRoundTrip) {
@@ -278,6 +356,68 @@ TEST(ExperimentRunner, RdmaCostPresetCompletesAndIsNamedInParams) {
   // points may not report identical sim times.
   EXPECT_NE(report.points[0].metrics.at("sim_time_ms").Mean(),
             report.points[1].metrics.at("sim_time_ms").Mean());
+}
+
+// One run measured three ways must agree: the World ExecuteRun's report hook
+// sees, the RunResult it returns, and the runner's sweep point for the same
+// one-run spec. kvstore (client seed) and lossy ping-pong (circuit-loss
+// seed) are the configurations whose seeds derive from the spec seed.
+void ExpectOneRunPathAgrees(const mexp::ExperimentSpec& spec) {
+  std::vector<mexp::RunConfig> runs = spec.Expand();
+  ASSERT_EQ(runs.size(), 1u);
+  bool hooked = false;
+  double world_ms = 0.0;
+  double world_packets = 0.0;
+  double hook_throughput = 0.0;
+  std::ostringstream text;
+  mexp::RunResult direct =
+      mexp::ExecuteRun(runs[0], [&](msysv::World& world, const mexp::RunResult& r) {
+        hooked = true;
+        world_ms = msim::ToMilliseconds(world.sim().Now());
+        world_packets = static_cast<double>(world.network().stats().packets);
+        hook_throughput = r.metrics.at("throughput");
+        mexp::PrintRunReport(world, runs[0], r, text);
+      });
+  ASSERT_TRUE(direct.ok) << direct.error;
+  ASSERT_TRUE(hooked);
+  EXPECT_EQ(direct.metrics.at("completed"), 1.0);
+  EXPECT_EQ(world_ms, direct.metrics.at("sim_time_ms"));
+  EXPECT_EQ(world_packets, direct.metrics.at("net_packets"));
+  EXPECT_EQ(hook_throughput, direct.metrics.at("throughput"));
+
+  mexp::ExperimentReport report = mexp::ExperimentRunner(1).Run(spec);
+  ASSERT_EQ(report.points.size(), 1u);
+  const mexp::PointResult& pt = report.points[0];
+  EXPECT_EQ(world_ms, pt.metrics.at("sim_time_ms").Mean());
+  EXPECT_EQ(world_packets, pt.metrics.at("net_packets").Mean());
+  EXPECT_EQ(hook_throughput, pt.metrics.at("throughput").Mean());
+  EXPECT_EQ(direct.metrics, pt.runs[0].metrics);
+
+  // The text report shows the same simulated time and a clean invariant
+  // check.
+  const std::string out = text.str();
+  const std::size_t at = out.find("simulated time: ");
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_NEAR(std::stod(out.substr(at + 16)), world_ms, 0.05);
+  EXPECT_NE(out.find("invariants: OK"), std::string::npos) << out;
+}
+
+TEST(ExperimentRunner, OneRunReportHookAgreesWithSweepPointForKvstore) {
+  mexp::ExperimentSpec spec;
+  spec.workload = "kvstore";
+  spec.sites = {4};
+  ExpectOneRunPathAgrees(spec);
+}
+
+TEST(ExperimentRunner, OneRunReportHookAgreesWithSweepPointForLossyPingPong) {
+  mexp::ExperimentSpec spec;
+  spec.workload = "pingpong";
+  spec.sites = {2};
+  spec.delta_ms = {17};
+  spec.loss = {0.2};
+  spec.rounds = 40;
+  spec.max_time_s = 900;
+  ExpectOneRunPathAgrees(spec);
 }
 
 TEST(ExperimentRunner, AggregatesAcrossRepetitionsInSpecOrder) {
