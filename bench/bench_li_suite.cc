@@ -23,8 +23,8 @@ msysv::WorldOptions Backend(bool mirage_backend, msim::Duration window) {
     opts.protocol.default_window_us = window;
   } else {
     opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                              mtrace::Tracer* tr) -> std::unique_ptr<mmem::DsmBackend> {
-      return std::make_unique<mbase::LiEngine>(k, reg, tr);
+                              mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
+      return std::make_unique<mbase::LiEngine>(k, reg);
     };
   }
   return opts;

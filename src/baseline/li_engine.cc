@@ -11,9 +11,8 @@ namespace mbase {
 
 using mmem::ForEachSite;
 
-LiEngine::LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry,
-                   mtrace::Tracer* tracer)
-    : kernel_(kernel), registry_(registry), tracer_(tracer) {}
+LiEngine::LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry)
+    : kernel_(kernel), registry_(registry) {}
 
 void LiEngine::Start() {
   kernel_->SetPacketHandler(
@@ -363,12 +362,6 @@ mmem::SegmentImage& LiEngine::ImageRef(mmem::SegmentId seg) {
     throw std::logic_error("baseline: no local image for segment " + std::to_string(seg));
   }
   return *it->second;
-}
-
-void LiEngine::Trace(const char* category, std::string detail) {
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Record(kernel_->Now(), site(), category, std::move(detail));
-  }
 }
 
 }  // namespace mbase

@@ -24,7 +24,6 @@
 #include "src/mem/segment_image.h"
 #include "src/mirage/registry.h"
 #include "src/os/kernel.h"
-#include "src/trace/trace.h"
 
 namespace mbase {
 
@@ -87,8 +86,7 @@ struct LiStats {
 
 class LiEngine : public mmem::DsmBackend {
  public:
-  LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry,
-           mtrace::Tracer* tracer = nullptr);
+  LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry);
 
   void Start() override;
   mmem::SegmentImage* EnsureImage(const mmem::SegmentMeta& meta) override;
@@ -135,11 +133,9 @@ class LiEngine : public mmem::DsmBackend {
 
   PageWait& WaitFor(mmem::SegmentId seg, mmem::PageNum page);
   mmem::SegmentImage& ImageRef(mmem::SegmentId seg);
-  void Trace(const char* category, std::string detail);
 
   mos::Kernel* kernel_;
   mirage::SegmentRegistry* registry_;
-  mtrace::Tracer* tracer_;
 
   std::map<mmem::SegmentId, std::unique_ptr<mmem::SegmentImage>> images_;
   std::map<mmem::SegmentId, std::vector<PageDir>> dirs_;

@@ -242,8 +242,10 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
   } else {
     ++stats_.read_faults;
   }
-  Trace("fault", (write ? "write fault seg " : "read fault seg ") + std::to_string(seg) +
-                     " page " + std::to_string(page) + " pid " + std::to_string(p->pid));
+  Trace("fault", [&] {
+    return (write ? "write fault seg " : "read fault seg ") + std::to_string(seg) + " page " +
+           std::to_string(page) + " pid " + std::to_string(p->pid);
+  });
   if (!registry_->FindById(seg).has_value()) {
     throw std::logic_error("mirage: fault on unknown segment " + std::to_string(seg));
   }
@@ -272,7 +274,7 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
       // The library declared the page lost. Fail the fault; the flag stays
       // set (only a successful install clears it) so later faults fail fast.
       ++stats_.faults_failed;
-      Trace("failure", "fault failed: page " + std::to_string(page) + " lost");
+      Trace("failure", [&] { return "fault failed: page " + std::to_string(page) + " lost"; });
       co_return mmem::FaultStatus::kPageLost;
     }
     bool& pending = write ? w.pending_write : w.pending_read;
@@ -328,12 +330,16 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
       if (attempts >= std::max(1, opts_.max_request_attempts)) {
         pending = false;
         ++stats_.faults_failed;
-        Trace("failure", "fault timed out: page " + std::to_string(page) + " after " +
-                             std::to_string(attempts) + " attempts");
+        Trace("failure", [&] {
+          return "fault timed out: page " + std::to_string(page) + " after " +
+                 std::to_string(attempts) + " attempts";
+        });
         co_return mmem::FaultStatus::kTimedOut;
       }
-      Trace("recovery", "request timeout, re-sending (attempt " +
-                            std::to_string(attempts + 1) + ") page " + std::to_string(page));
+      Trace("recovery", [&] {
+        return "request timeout, re-sending (attempt " + std::to_string(attempts + 1) + ") page " +
+               std::to_string(page);
+      });
       pending = false;  // force a re-send on the next loop iteration
       wait *= 2;        // exponential backoff
       continue;
@@ -365,7 +371,9 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
             // Hold the invalidation and execute it at window expiry — the
             // optimization the paper names but did not implement.
             ++stats_.queued_invalidations;
-            Trace("clock", "queued invalidation, " + std::to_string(remaining) + " us left");
+            Trace("clock", [&] {
+              return "queued invalidation, " + std::to_string(remaining) + " us left";
+            });
             kernel_->sim()->Schedule(remaining, static_cast<msim::EventDomain>(site()),
                                      [this, b] {
               worker_queue_.push_back(b);
@@ -373,7 +381,9 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
             });
           } else {
             ++stats_.wait_replies_sent;
-            Trace("clock", "refuse invalidation, " + std::to_string(remaining) + " us left");
+            Trace("clock", [&] {
+              return "refuse invalidation, " + std::to_string(remaining) + " us left";
+            });
             WaitReplyBody r{b.seg, b.page, b.req_id, remaining, b.epoch};
             co_await kernel_->Send(
                 self, mnet::MakePacket(site(), pkt.src,
@@ -480,8 +490,10 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       r.epoch = b.epoch;
       r.from = site();
       r.pages = LocalCopyState(b.seg, meta->PageCount());
-      Trace("recovery", "answer recovery query for seg " + std::to_string(b.seg) +
-                            " epoch " + std::to_string(b.epoch));
+      Trace("recovery", [&] {
+        return "answer recovery query for seg " + std::to_string(b.seg) + " epoch " +
+               std::to_string(b.epoch);
+      });
       co_await kernel_->Send(
           self, mnet::MakePacket(site(), b.new_library,
                                  static_cast<std::uint32_t>(MsgKind::kRecoveryReply),
@@ -542,8 +554,9 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
         break;  // not this site's segment (destroyed, or the registry moved on)
       }
       ++stats_.rejoin_welcomes;
-      Trace("rejoin", "re-admit site " + std::to_string(b.from) + " to seg " +
-                          std::to_string(b.seg));
+      Trace("rejoin", [&] {
+        return "re-admit site " + std::to_string(b.from) + " to seg " + std::to_string(b.seg);
+      });
       if (dit != dirs_.end()) {
         // Purge queued requests from the dead incarnation. They were issued
         // before the crash (liveness checks kept them from being served
@@ -556,9 +569,10 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
           if (!qit->respread && qit->body.seg == b.seg &&
               qit->body.requester == b.from) {
             ++stats_.requests_dropped;
-            Trace("rejoin", "drop pre-crash request from site " +
-                                std::to_string(b.from) + " page " +
-                                std::to_string(qit->body.page));
+            Trace("rejoin", [&] {
+              return "drop pre-crash request from site " + std::to_string(b.from) + " page " +
+                     std::to_string(qit->body.page);
+            });
             qit = lib_queue_.erase(qit);
           } else {
             ++qit;
@@ -596,9 +610,10 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
           // both are reconstruction's job — re-query the survivors and
           // rebuild. (The rebuild also re-spreads every page, so no separate
           // re-spread pass is queued.)
-          Trace("rejoin", std::string(any_lost ? "condemned" : "orphaned") +
-                              " page(s) on seg " + std::to_string(b.seg) +
-                              "; reconstructing");
+          Trace("rejoin", [&] {
+            return std::string(any_lost ? "condemned" : "orphaned") + " page(s) on seg " +
+                   std::to_string(b.seg) + "; reconstructing";
+          });
           StartRecovery(b.seg, /*elected=*/false);
         } else if (opts_.replicas >= 2) {
           // Pull the rejoined site back into the k-standby set.
@@ -661,9 +676,11 @@ void Engine::EnqueueLibraryRequest(const PageRequestBody& body) {
     log_.Add(RequestLogEntry{kernel_->Now(), body.seg, body.page, body.write, body.requester,
                              body.pid});
   }
-  Trace("request", std::string(body.write ? "write" : "read") + " request from site " +
-                       std::to_string(body.requester) + " seg " + std::to_string(body.seg) +
-                       " page " + std::to_string(body.page));
+  Trace("request", [&] {
+    return std::string(body.write ? "write" : "read") + " request from site " +
+           std::to_string(body.requester) + " seg " + std::to_string(body.seg) + " page " +
+           std::to_string(body.page);
+  });
   lib_queue_.push_back(Request{body, kernel_->Now()});
   NoteLibEnqueue();
   kernel_->Wakeup(lib_chan_);
@@ -691,8 +708,10 @@ void Engine::ApplyInstall(const PageInstallBody& body) {
   aux.reader_mask = body.resulting_readers;
   aux.writer = body.writer_site;
   ++stats_.pages_installed;
-  Trace("install", std::string(body.writable ? "writable" : "read-only") + " install seg " +
-                       std::to_string(body.seg) + " page " + std::to_string(body.page));
+  Trace("install", [&] {
+    return std::string(body.writable ? "writable" : "read-only") + " install seg " +
+           std::to_string(body.seg) + " page " + std::to_string(body.page);
+  });
   PageWait& w = WaitFor(body.seg, body.page);
   w.pending_read = false;
   if (body.writable) {
@@ -712,8 +731,9 @@ void Engine::ApplyUpgrade(const UpgradeGrantBody& body) {
   img.aux(body.page).writer = site();
   img.aux(body.page).reader_mask = 0;
   ++stats_.upgrades_received;
-  Trace("upgrade", "upgrade seg " + std::to_string(body.seg) + " page " +
-                       std::to_string(body.page));
+  Trace("upgrade", [&] {
+    return "upgrade seg " + std::to_string(body.seg) + " page " + std::to_string(body.page);
+  });
   PageWait& w = WaitFor(body.seg, body.page);
   w.pending_read = false;
   w.pending_write = false;
@@ -728,14 +748,17 @@ void Engine::ApplyInvalidate(const InvalidatePageBody& body) {
   }
   it->second->InvalidatePage(body.page);
   ++stats_.local_invalidations;
-  Trace("invalidate", "invalidate seg " + std::to_string(body.seg) + " page " +
-                          std::to_string(body.page));
+  Trace("invalidate", [&] {
+    return "invalidate seg " + std::to_string(body.seg) + " page " + std::to_string(body.page);
+  });
 }
 
 void Engine::ApplyRequestFailed(const RequestFailedBody& body) {
   ++stats_.fail_notices_received;
-  Trace("failure", "library reports page " + std::to_string(body.page) + " of seg " +
-                       std::to_string(body.seg) + " lost");
+  Trace("failure", [&] {
+    return "library reports page " + std::to_string(body.page) + " of seg " +
+           std::to_string(body.seg) + " lost";
+  });
   PageWait& w = WaitFor(body.seg, body.page);
   w.failed = true;
   w.pending_read = false;
@@ -849,8 +872,10 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
     op.epoch = KnownEpoch(seg);
     op.replicate_set = rset;
     op.commit_version = pd.version + 1;
-    Trace("replicate", "re-spread page " + std::to_string(page) + " of seg " +
-                           std::to_string(seg) + " to mask " + mmem::MaskToString(rset));
+    Trace("replicate", [&] {
+      return "re-spread page " + std::to_string(page) + " of seg " + std::to_string(seg) +
+             " to mask " + mmem::MaskToString(rset);
+    });
     bool rok = co_await IssueClockOp(self, pd.clock_site, op, OpDeadline());
     if (rok) {
       pd.version = op.commit_version;
@@ -922,9 +947,11 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
     }
   }
 
-  Trace("library", std::string("process ") + (req.body.write ? "write" : "read") +
-                       " request site " + std::to_string(requester) + " page " +
-                       std::to_string(page) + " mode " + PageModeName(pd.mode));
+  Trace("library", [&] {
+    return std::string("process ") + (req.body.write ? "write" : "read") + " request site " +
+           std::to_string(requester) + " page " + std::to_string(page) + " mode " +
+           PageModeName(pd.mode);
+  });
 
   const msim::Time op_deadline = OpDeadline();
   // The clock site driving the op; kNoSite when the library grants directly.
@@ -1084,14 +1111,18 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
       // condemning the page, rebuild the directory from the survivors; if a
       // copy survives anywhere the page keeps serving (freshest-copy
       // transfer), and only a page whose every copy died becomes lost.
-      Trace("recovery", "clock site " + std::to_string(clock_site) +
-                            " down; reconstructing seg " + std::to_string(seg));
+      Trace("recovery", [&] {
+        return "clock site " + std::to_string(clock_site) + " down; reconstructing seg " +
+               std::to_string(seg);
+      });
       StartRecovery(seg, /*elected=*/false);
       co_return;
     }
     pd.lost = true;
-    Trace("failure", "operation failed; page " + std::to_string(page) + " of seg " +
-                         std::to_string(seg) + " marked lost");
+    Trace("failure", [&] {
+      return "operation failed; page " + std::to_string(page) + " of seg " + std::to_string(seg) +
+             " marked lost";
+    });
     mmem::SiteMask notif = req.body.write ? mmem::MaskOf(requester) : batch;
     co_await NotifyRequestFailed(self, seg, page, req_id, notif);
   }
@@ -1316,15 +1347,20 @@ msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait&
       switch (w.role) {
         case AckRole::kInstall:
           stats_.degraded_acks += n;
-          Trace("degraded", "forgave " + std::to_string(n) + " install ack(s) from down site(s)");
+          Trace("degraded", [&] {
+            return "forgave " + std::to_string(n) + " install ack(s) from down site(s)";
+          });
           break;
         case AckRole::kInvalidate:
           stats_.degraded_invalidations += n;
-          Trace("degraded",
-                "forgave " + std::to_string(n) + " invalidate ack(s) from down site(s)");
+          Trace("degraded", [&] {
+            return "forgave " + std::to_string(n) + " invalidate ack(s) from down site(s)";
+          });
           break;
         case AckRole::kReplicate:
-          Trace("replicate", "standby site(s) died mid-commit; quorum shrinks to the survivors");
+          Trace("replicate", [&] {
+            return "standby site(s) died mid-commit; quorum shrinks to the survivors";
+          });
           break;
         case AckRole::kRecovery:
           break;
@@ -1466,9 +1502,10 @@ void Engine::ApplyPromoteReplica(const PromoteReplicaBody& body) {
   aux.writer = mnet::kNoSite;
   ++stats_.pages_installed;
   ++stats_.degraded_reads;
-  Trace("replicate", "promoted standby of page " + std::to_string(body.page) + " seg " +
-                         std::to_string(body.seg) + " to live copy, version " +
-                         std::to_string(body.version));
+  Trace("replicate", [&] {
+    return "promoted standby of page " + std::to_string(body.page) + " seg " +
+           std::to_string(body.seg) + " to live copy, version " + std::to_string(body.version);
+  });
   PageWait& w = WaitFor(body.seg, body.page);
   w.pending_read = false;
   w.failed = false;
@@ -1500,8 +1537,10 @@ bool Engine::StaleEpoch(mmem::SegmentId seg, std::uint32_t epoch) {
     return false;
   }
   ++stats_.stale_epoch_drops;
-  Trace("fence", "stale epoch " + std::to_string(epoch) + " < " +
-                     std::to_string(KnownEpoch(seg)) + " for seg " + std::to_string(seg));
+  Trace("fence", [&] {
+    return "stale epoch " + std::to_string(epoch) + " < " + std::to_string(KnownEpoch(seg)) +
+           " for seg " + std::to_string(seg);
+  });
   return true;
 }
 
@@ -1604,7 +1643,7 @@ void Engine::Rejoin() {
   recovery_proc_ = nullptr;
   next_req_id_ = 1;
   ++stats_.rejoins;
-  Trace("rejoin", "site rebooted with amnesia; starting re-admission");
+  Trace("rejoin", [&] { return "site rebooted with amnesia; starting re-admission"; });
   // Fresh serving processes (the old ones are zombies of the old boot).
   Start();
   // Transient re-admission handshake: announce to every library whose
@@ -1629,8 +1668,10 @@ msim::Task<> Engine::RejoinMain(mos::Process* self) {
       StartRecovery(meta.id, /*elected=*/true);
     } else if (kernel_->net()->SiteUp(meta.library_site)) {
       RejoinAnnounceBody b{meta.id, site(), meta.epoch};
-      Trace("rejoin", "announce rejoin for seg " + std::to_string(meta.id) +
-                          " to library " + std::to_string(meta.library_site));
+      Trace("rejoin", [&] {
+        return "announce rejoin for seg " + std::to_string(meta.id) + " to library " +
+               std::to_string(meta.library_site);
+      });
       co_await kernel_->Send(
           self, mnet::MakePacket(site(), meta.library_site,
                                  static_cast<std::uint32_t>(MsgKind::kRejoinAnnounce),
@@ -1687,9 +1728,10 @@ void Engine::StartRecovery(mmem::SegmentId seg, bool elected) {
   if (elected) {
     ++stats_.elections_won;
   }
-  Trace("recovery", std::string(elected ? "elected library" : "in-place rebuild") +
-                        " for seg " + std::to_string(seg) + ", epoch " +
-                        std::to_string(new_epoch));
+  Trace("recovery", [&] {
+    return std::string(elected ? "elected library" : "in-place rebuild") + " for seg " +
+           std::to_string(seg) + ", epoch " + std::to_string(new_epoch);
+  });
   recovery_queue_.push_back(RecoveryItem{seg, elected});
   kernel_->Wakeup(recovery_chan_);
 }
@@ -1948,10 +1990,12 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
     }
   }
 
-  Trace("recovery", "seg " + std::to_string(seg) + " reconstructed under epoch " +
-                        std::to_string(epoch) + ": " + std::to_string(recovered) +
-                        " page(s) recovered (" + std::to_string(promotions.size()) +
-                        " promoted from standbys), " + std::to_string(lost) + " lost");
+  Trace("recovery", [&] {
+    return "seg " + std::to_string(seg) + " reconstructed under epoch " + std::to_string(epoch) +
+           ": " + std::to_string(recovered) + " page(s) recovered (" +
+           std::to_string(promotions.size()) + " promoted from standbys), " + std::to_string(lost) +
+           " lost";
+  });
 }
 
 std::vector<PageCopyState> Engine::LocalCopyState(mmem::SegmentId seg, int page_count) const {
@@ -1988,15 +2032,18 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
     // clock op here before its rejoin announce reached the library. There is
     // no image to act on; drop the op — the announce triggers a rebuild that
     // re-homes the clock and re-drives the work.
-    Trace("clock", "drop clock op for seg " + std::to_string(op.seg) +
-                       ": no image after rejoin");
+    Trace("clock", [&] {
+      return "drop clock op for seg " + std::to_string(op.seg) + ": no image after rejoin";
+    });
     co_return false;
   }
   ++stats_.clock_ops_executed;
   mmem::SegmentImage& img = ImageRef(op.seg);
   const mnet::SiteId me = site();
-  Trace("clock", std::string("execute ") + ClockActionName(op.action) + " page " +
-                     std::to_string(op.page));
+  Trace("clock", [&] {
+    return std::string("execute ") + ClockActionName(op.action) + " page " +
+           std::to_string(op.page);
+  });
   const msim::Time deadline = OpDeadline();
 
   // 1. Invalidate other readers, sequential point-to-point, and wait for the
@@ -2026,7 +2073,9 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
       AckWaitResult r = co_await AwaitAcks(self, w);
       if (r != AckWaitResult::kComplete) {
         if (r == AckWaitResult::kFailed) {
-          Trace("failure", "clock op abandoned: invalidate ack(s) missing past deadline");
+          Trace("failure", [&] {
+            return "clock op abandoned: invalidate ack(s) missing past deadline";
+          });
         }
         co_return false;
       }
@@ -2070,7 +2119,7 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
       // A fresh window for the resulting read set, clocked here.
       img.aux(op.page).install_time = kernel_->Now();
       img.aux(op.page).window_us = op.new_window_us;
-      Trace("downgrade", "downgrade to reader, page " + std::to_string(op.page));
+      Trace("downgrade", [&] { return "downgrade to reader, page " + std::to_string(op.page); });
       break;
     case ClockAction::kInvalidateForReaders:
       data = img.CopyPage(op.page);
@@ -2095,8 +2144,9 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
                                                op.commit_version, op.epoch, op.replicate_set,
                                                data, deadline);
     if (!committed) {
-      Trace("failure", "clock op abandoned: write quorum not reached for page " +
-                           std::to_string(op.page));
+      Trace("failure", [&] {
+        return "clock op abandoned: write quorum not reached for page " + std::to_string(op.page);
+      });
       co_return false;
     }
   }
@@ -2184,12 +2234,6 @@ Engine::PageWait& Engine::WaitFor(mmem::SegmentId seg, mmem::PageNum page) {
     it = waits_.emplace(key, std::make_unique<PageWait>()).first;
   }
   return *it->second;
-}
-
-void Engine::Trace(const char* category, std::string detail) {
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Record(kernel_->Now(), site(), category, std::move(detail));
-  }
 }
 
 // ------------------------------------------------------------------ tuning --

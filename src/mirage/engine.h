@@ -95,6 +95,7 @@ struct EngineStats {
   // Totals another site's statistics into these: every counter adds, and
   // lib_queue_peak, a per-site high-water mark, takes the max.
   EngineStats& operator+=(const EngineStats& o);
+  bool operator==(const EngineStats&) const = default;
 };
 
 // Library-side page directory state (Table 1 "Current" column).
@@ -392,7 +393,14 @@ class Engine : public mmem::DsmBackend {
   msim::Duration LocalWindowRemaining(mmem::SegmentId seg, mmem::PageNum page) const;
   mmem::SegmentImage& ImageRef(mmem::SegmentId seg);
   PageWait& WaitFor(mmem::SegmentId seg, mmem::PageNum page);
-  void Trace(const char* category, std::string detail);
+  // Records a protocol trace event. `detail` returns its text and is called
+  // only while tracing is on, so a run with tracing off builds no strings.
+  template <typename DetailFn>
+  void Trace(const char* category, DetailFn detail) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->Record(kernel_->Now(), site(), category, detail());
+    }
+  }
 
   mos::Kernel* kernel_;
   SegmentRegistry* registry_;

@@ -318,7 +318,7 @@ void Kernel::Dispatch() {
   if (p->cpu_needed > 0) {
     BeginSlice();
   } else {
-    ResumeCoroutine(p);
+    ResumeCoroutine(p, /*in_slice_event=*/false);
   }
 }
 
@@ -330,12 +330,15 @@ void Kernel::BeginSlice() {
 void Kernel::OnComputeDone() {
   slice_event_ = 0;
   Process* p = running_;
-  msim::Duration consumed = sim_->Now() - slice_start_;
+  ChargeCpu(p, sim_->Now() - slice_start_);
+  p->cpu_needed = 0;
+  ResumeCoroutine(p, /*in_slice_event=*/true);
+}
+
+void Kernel::ChargeCpu(Process* p, msim::Duration consumed) {
   p->cpu_time += consumed;
   p->quantum_left -= consumed;
   stats_.busy_time += consumed;
-  p->cpu_needed = 0;
-  ResumeCoroutine(p);
 }
 
 void Kernel::Preempt(bool to_tail) {
@@ -345,9 +348,7 @@ void Kernel::Preempt(bool to_tail) {
     slice_event_ = 0;
   }
   msim::Duration consumed = sim_->Now() - slice_start_;
-  p->cpu_time += consumed;
-  p->quantum_left -= consumed;
-  stats_.busy_time += consumed;
+  ChargeCpu(p, consumed);
   p->cpu_needed -= consumed;
   if (p->cpu_needed < 0) {
     p->cpu_needed = 0;
@@ -363,32 +364,44 @@ void Kernel::Preempt(bool to_tail) {
   running_ = nullptr;
 }
 
-void Kernel::ResumeCoroutine(Process* p) {
-  p->pending = PendingOp::kNone;
-  if (!p->started) {
-    p->started = true;
-    p->body.Start([p] { p->finished = true; });
-  } else {
-    p->resume_point.resume();
-  }
-  if (p->finished) {
-    HandleExit(p);
+void Kernel::ResumeCoroutine(Process* p, bool in_slice_event) {
+  for (;;) {
+    p->pending = PendingOp::kNone;
+    if (!p->started) {
+      p->started = true;
+      p->body.Start([p] { p->finished = true; });
+    } else {
+      p->resume_point.resume();
+    }
+    if (p->finished) {
+      HandleExit(p);
+      return;
+    }
+    switch (p->pending) {
+      case PendingOp::kCompute:
+        // Run-ahead (DESIGN.md §10.7): in the slice event nothing else runs
+        // between `p` suspending here and the simulator's next event. If
+        // the slice `p` asks for would be that event, finish it now and
+        // resume `p` again instead of going through the event queue.
+        if (in_slice_event && sim_->TryRunAhead(p->cpu_needed)) {
+          ChargeCpu(p, p->cpu_needed);
+          p->cpu_needed = 0;
+          continue;
+        }
+        BeginSlice();
+        break;
+      case PendingOp::kBlock:
+        p->state = ProcState::kBlocked;
+        ReleaseCpu();
+        break;
+      case PendingOp::kYield:
+        HandleYield(p);
+        break;
+      case PendingOp::kNone:
+        throw std::logic_error("os: process '" + p->name +
+                               "' suspended outside a kernel awaitable");
+    }
     return;
-  }
-  switch (p->pending) {
-    case PendingOp::kCompute:
-      BeginSlice();
-      break;
-    case PendingOp::kBlock:
-      p->state = ProcState::kBlocked;
-      ReleaseCpu();
-      break;
-    case PendingOp::kYield:
-      HandleYield(p);
-      break;
-    case PendingOp::kNone:
-      throw std::logic_error("os: process '" + p->name +
-                             "' suspended outside a kernel awaitable");
   }
 }
 

@@ -43,6 +43,8 @@ struct KernelStats {
   // Packets that arrived after this site halted (crash fault injection).
   std::uint64_t packets_dropped_down = 0;
   std::uint64_t ticks = 0;
+
+  bool operator==(const KernelStats&) const = default;
 };
 
 class Kernel {
@@ -193,8 +195,13 @@ class Kernel {
   void Dispatch();
   void BeginSlice();
   void OnComputeDone();
+  // Adds `consumed` of CPU to `p`'s time and quantum and the site's busy time.
+  void ChargeCpu(Process* p, msim::Duration consumed);
   void Preempt(bool to_tail);
-  void ResumeCoroutine(Process* p);
+  // Runs `p` until it finishes or suspends on a kernel awaitable, then acts
+  // on how it stopped: exit, start a slice, block, or yield. Only
+  // OnComputeDone passes `in_slice_event`, which allows run-ahead.
+  void ResumeCoroutine(Process* p, bool in_slice_event);
   void HandleYield(Process* p);
   void HandleExit(Process* p);
   void ReleaseCpu();

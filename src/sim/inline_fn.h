@@ -103,6 +103,12 @@ class InlineFunction<R(Args...), InlineBytes> {
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
+      if constexpr (VTableFor<Fn>::kTrivial) {
+        // MoveFrom copies the whole buffer of a trivial closure, so give the
+        // bytes the closure does not write (all of them, for an empty
+        // capture list) a value first.
+        std::memset(buf_, 0, kInlineBytes);
+      }
       obj_ = new (buf_) Fn(std::forward<F>(f));
     } else {
       obj_ = new (detail::OverflowPool::Allocate(sizeof(Fn))) Fn(std::forward<F>(f));
@@ -186,9 +192,10 @@ class InlineFunction<R(Args...), InlineBytes> {
       if (vt_->trivial) {
         // The whole buffer is copied unconditionally: a fixed-size memcpy
         // compiles to a handful of wide stores, with no branch on the
-        // closure's actual size. The bytes past the closure's real size are
-        // indeterminate and never read again — GCC's -Wmaybe-uninitialized
-        // can't see that, so the copy is exempted from the warning.
+        // closure's actual size. The constructor zeroed the bytes past the
+        // closure's real size, but GCC's -Wmaybe-uninitialized cannot follow
+        // a buffer through a chain of moves, so the copy is exempted from
+        // that warning.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"

@@ -308,42 +308,83 @@ void Simulator::SetController(ScheduleController* c, Duration perturb_window_us)
 }
 
 std::uint64_t Simulator::Run(std::uint64_t max_events) {
-  stop_requested_ = false;
-  if (workers_ <= 1) {
-    return RunSerial(kMaxTime, max_events, /*advance_clock=*/false);
-  }
-  return RunParallel(kMaxTime, max_events, /*advance_clock=*/false);
+  return RunLoop(kMaxTime, max_events, /*advance_clock=*/false);
 }
 
 std::uint64_t Simulator::RunUntil(Time deadline, std::uint64_t max_events) {
-  stop_requested_ = false;
-  if (workers_ <= 1) {
-    return RunSerial(deadline, max_events, /*advance_clock=*/true);
-  }
-  return RunParallel(deadline, max_events, /*advance_clock=*/true);
+  return RunLoop(deadline, max_events, /*advance_clock=*/true);
 }
 
-std::uint64_t Simulator::RunSerial(Time deadline, std::uint64_t max_events, bool advance_clock) {
+std::uint64_t Simulator::RunLoop(Time deadline, std::uint64_t max_events, bool advance_clock) {
+  if (running_) {
+    // A nested run would fire events in the middle of another event, and
+    // TryRunAhead would read the inner run's bounds as the outer's.
+    throw std::logic_error("Simulator: Run/RunUntil called from inside an event; runs do not nest");
+  }
+  // Cleared on every exit, including an exception escaping an event, so a
+  // later run starts clean.
+  struct RunningFlag {
+    bool& flag;
+    ~RunningFlag() { flag = false; }
+  } running{running_};
+  running_ = true;
+  stop_requested_ = false;
+  if (workers_ <= 1) {
+    run_deadline_ = deadline;
+    run_budget_ = max_events;
+    run_fired_ = 0;
+    return RunSerial(advance_clock);
+  }
+  return RunParallel(deadline, max_events, advance_clock);
+}
+
+std::uint64_t Simulator::RunSerial(bool advance_clock) {
   Queue& q = queues_[0];
-  std::uint64_t n = 0;
-  while (q.live > 0 && !stop_requested_ && n < max_events) {
+  while (q.live > 0 && !stop_requested_ && run_fired_ < run_budget_) {
     if (!SelectNext(q)) {
       break;  // unreachable while live > 0; defensive
     }
-    if (q.heap.front().time > deadline) {
+    if (q.heap.front().time > run_deadline_) {
       break;
     }
+    // Counted before it fires, so a TryRunAhead inside it sees the budget
+    // this event has already used.
+    ++run_fired_;
     if (controller_ != nullptr) {
       FireControlled();
     } else {
       FireTop(q);
     }
-    ++n;
   }
-  if (advance_clock && !stop_requested_ && now_ < deadline) {
-    now_ = deadline;
+  if (advance_clock && !stop_requested_ && now_ < run_deadline_) {
+    now_ = run_deadline_;
   }
-  return n;
+  return run_fired_;
+}
+
+// The serial dispatcher's next pick would be the follow-up exactly when its
+// (time, seq) orders before every live entry: its seq would be the largest
+// yet, so it must be strictly earlier. Pruning tombstones off the top is
+// what that dispatch would do first anyway.
+bool Simulator::TryRunAhead(Duration delay) {
+  if (workers_ > 1 || controller_ != nullptr || !running_ || stop_requested_ ||
+      run_fired_ >= run_budget_) {
+    return false;
+  }
+  const Time t = now_ + (delay > 0 ? delay : 0);
+  if (t > run_deadline_) {
+    return false;
+  }
+  Queue& q = queues_[0];
+  if (SelectNext(q) && q.heap.front().time <= t) {
+    return false;
+  }
+  now_ = t;
+  ++next_seq_;
+  ++processed_;
+  ++ran_ahead_;
+  ++run_fired_;
+  return true;
 }
 
 // ---- Conservative parallel execution (DESIGN.md §12) ----

@@ -17,7 +17,9 @@
 // tombstoning: the slot's generation is bumped and the queue entry left
 // behind; the dispatcher skips dead entries, so cancelling an already-fired
 // or unknown id stays a harmless no-op and PendingEvents() never counts
-// tombstones.
+// tombstones. TryRunAhead (DESIGN.md §10.7) lets a firing event claim its
+// own follow-up when the dispatcher would fire that next anyway, so a
+// process computing alone skips the queue round trip per compute slice.
 //
 // Parallel execution (DESIGN.md §12): SetWorkers(n > 1) partitions the event
 // space into n per-partition queues (site domain d -> partition d % n) plus
@@ -134,7 +136,23 @@ class Simulator {
 
   // Runs events with timestamps <= `deadline`. The clock is advanced to
   // `deadline` even if the queue drains early. Returns events processed.
+  // Runs do not nest: calling Run() or RunUntil() from inside an event
+  // throws std::logic_error.
   std::uint64_t RunUntil(Time deadline, std::uint64_t max_events = UINT64_MAX);
+
+  // Serial run-ahead (DESIGN.md §10.7). For an event that is firing and
+  // would end by scheduling one follow-up `delay` from now, with nothing
+  // else left to do: if that follow-up would be the very next event to fire
+  // — strictly earlier than every live pending event (a tie goes to the
+  // pending event, whose seq is smaller), no later than the run's deadline,
+  // within its event budget, and with no Stop() requested — claims it and
+  // returns true. The clock advances to it, and it counts as fired (in
+  // ProcessedEvents() and the run's return value) and takes the seq it
+  // would have been scheduled with; the caller then does its work inline.
+  // Otherwise returns false and changes nothing. Always false outside the
+  // serial dispatcher: between runs, in parallel mode, and under a
+  // ScheduleController.
+  bool TryRunAhead(Duration delay);
 
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stop_requested_ = true; }
@@ -153,6 +171,8 @@ class Simulator {
 
   // Total events processed since construction.
   std::uint64_t ProcessedEvents() const { return processed_; }
+  // Of those, the events claimed by TryRunAhead.
+  std::uint64_t RunAheadEvents() const { return ran_ahead_; }
 
   // Installs (or, with nullptr, removes) the schedule controller. The
   // controller is consulted only at dispatches with >= 2 eligible events;
@@ -304,8 +324,12 @@ class Simulator {
   static void Compact(Queue& q);
 
   Time NowInWindow() const;
-  // The serial core loop (workers_ == 1).
-  std::uint64_t RunSerial(Time deadline, std::uint64_t max_events, bool advance_clock);
+  // Run() and RunUntil(): refuses nesting, then picks the serial or the
+  // parallel loop.
+  std::uint64_t RunLoop(Time deadline, std::uint64_t max_events, bool advance_clock);
+  // The serial core loop (workers_ == 1), bounded by run_deadline_ and
+  // run_budget_.
+  std::uint64_t RunSerial(bool advance_clock);
   // The parallel loop: windows where the lookahead allows, exact serial
   // steps (global (time, seq) order across all queues) where it does not.
   std::uint64_t RunParallel(Time deadline, std::uint64_t max_events, bool advance_clock);
@@ -324,7 +348,14 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
+  std::uint64_t ran_ahead_ = 0;
   bool stop_requested_ = false;
+  bool running_ = false;  // inside Run()/RunUntil()
+  // The current run's deadline, event budget and fired count: RunSerial's
+  // loop bounds, which TryRunAhead checks and adds to.
+  Time run_deadline_ = 0;
+  std::uint64_t run_budget_ = 0;
+  std::uint64_t run_fired_ = 0;
   std::vector<Queue> queues_;  // [0] = home/serial; [1..workers_] = partitions
   ScheduleController* controller_ = nullptr;
   Duration perturb_window_us_ = 0;

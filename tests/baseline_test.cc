@@ -20,8 +20,8 @@ using msysv::WorldOptions;
 WorldOptions LiOptions() {
   WorldOptions opts;
   opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                            mtrace::Tracer* tr) -> std::unique_ptr<mmem::DsmBackend> {
-    return std::make_unique<mbase::LiEngine>(k, reg, tr);
+                            mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
+    return std::make_unique<mbase::LiEngine>(k, reg);
   };
   return opts;
 }

@@ -1,8 +1,10 @@
 // Unit tests for the per-site kernel: dispatch, quantum round-robin, yield
 // semantics, priority classes, tick-granular kernel preemption,
-// interrupt-return behaviour, sleep/wakeup channels, and cost charging.
+// interrupt-return behaviour, sleep/wakeup channels, cost charging, and the
+// run-ahead of compute slices.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/net/network.h"
@@ -269,6 +271,103 @@ TEST_F(KernelFixture, RemapChargedPerSharedPageAtScheduleIn) {
   sim.RunUntil(msim::kSecond);
   EXPECT_GT(sync_calls, 3);
   EXPECT_GE(kernel->stats().remap_time, 4 * 10 * cfg.remap_per_page_us);
+}
+
+// ---- serial run-ahead (DESIGN.md §10.7) ----
+// A process computing alone has its slices finished inside the slice event
+// rather than through the event queue; these pin the edges of that path.
+// Each process's first slice also pays the dispatch context switch.
+
+TEST_F(KernelFixture, TimerDueAtSliceEndFiresBeforeTheSliceCompletes) {
+  Boot();
+  int slices = 0;
+  int slices_seen_by_timer = -1;
+  const Time first_end = cfg.context_switch_us + 100;
+  sim.ScheduleAt(first_end + 400, [&] { slices_seen_by_timer = slices; });
+  kernel->Spawn("p", Priority::kUser, [&](Process* p) -> Task<> {
+    for (int i = 0; i < 10; ++i) {
+      co_await kernel->Compute(p, 100);
+      ++slices;
+    }
+  });
+  sim.RunUntil(msim::kSecond);
+  EXPECT_EQ(slices, 10);
+  // The fifth slice ends at the timer's instant. The timer was scheduled
+  // first, so it wins the tie.
+  EXPECT_EQ(slices_seen_by_timer, 4);
+  EXPECT_GT(sim.RunAheadEvents(), 0u);
+}
+
+TEST_F(KernelFixture, RunUntilStopsBeforeASliceEndingPastTheDeadline) {
+  Boot();
+  std::vector<Time> ends;
+  kernel->Spawn("p", Priority::kUser, [&](Process* p) -> Task<> {
+    for (int i = 0; i < 3; ++i) {
+      co_await kernel->Compute(p, 1000);
+      ends.push_back(sim.Now());
+    }
+  });
+  const Time first_end = cfg.context_switch_us + 1000;
+  sim.RunUntil(first_end + 1500);
+  EXPECT_EQ(ends, (std::vector<Time>{first_end, first_end + 1000}));
+  EXPECT_EQ(sim.Now(), first_end + 1500);
+  sim.RunUntil(first_end + 2000);  // the slice ends at its original time
+  EXPECT_EQ(ends, (std::vector<Time>{first_end, first_end + 1000, first_end + 2000}));
+}
+
+TEST_F(KernelFixture, RunFiresExactlyMaxEventsWhileRunningAhead) {
+  Boot();
+  int slices = 0;
+  kernel->Spawn("p", Priority::kUser, [&](Process* p) -> Task<> {
+    for (;;) {
+      co_await kernel->Compute(p, 100);
+      ++slices;
+    }
+  });
+  // The resched that dispatches p, its context-switch slice, then one event
+  // per 100 µs slice.
+  EXPECT_EQ(sim.Run(50), 50u);
+  EXPECT_EQ(sim.ProcessedEvents(), 50u);
+  EXPECT_EQ(slices, 48);
+  EXPECT_EQ(sim.Now(), cfg.context_switch_us + 48 * 100);
+  EXPECT_EQ(sim.Run(10), 10u);
+  EXPECT_EQ(slices, 58);
+}
+
+TEST_F(KernelFixture, StopFromAProcessHaltsBeforeItsNextSlice) {
+  Boot();
+  int slices = 0;
+  kernel->Spawn("p", Priority::kUser, [&](Process* p) -> Task<> {
+    for (int i = 0; i < 10; ++i) {
+      co_await kernel->Compute(p, 100);
+      if (++slices == 3) {
+        sim.Stop();
+      }
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(slices, 3);
+  EXPECT_EQ(sim.Now(), cfg.context_switch_us + 300);
+  sim.RunUntil(msim::kSecond);
+  EXPECT_EQ(slices, 10);
+}
+
+TEST_F(KernelFixture, ExceptionDuringRunAheadLeavesTheSimulatorUsable) {
+  Boot();
+  kernel->Spawn("bad", Priority::kUser, [&](Process* p) -> Task<> {
+    for (int i = 0; i < 5; ++i) {
+      co_await kernel->Compute(p, 100);
+    }
+    throw std::runtime_error("app crash");
+  });
+  EXPECT_THROW(sim.RunUntil(msim::kSecond), std::runtime_error);
+  EXPECT_EQ(sim.Now(), cfg.context_switch_us + 500);
+  EXPECT_GT(sim.RunAheadEvents(), 0u);
+  bool fired = false;
+  sim.Schedule(10, [&] { fired = true; });
+  sim.RunUntil(msim::kSecond);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.Now(), msim::kSecond);
 }
 
 // ---- network-facing behaviour (two kernels) ----

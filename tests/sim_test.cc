@@ -1,19 +1,25 @@
 // Unit tests for the discrete-event simulator core: event ordering,
-// cancellation, coroutine tasks, and synchronization primitives.
+// cancellation, serial run-ahead, coroutine tasks, and synchronization
+// primitives.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "src/mirage/engine.h"
 #include "src/net/network.h"
+#include "src/os/kernel.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 #include "src/sysv/world.h"
+#include "src/workload/kvstore.h"
+#include "src/workload/pingpong.h"
 #include "src/workload/readwriters.h"
 #include "src/workload/scalability.h"
 
@@ -605,13 +611,17 @@ TEST(SimulatorParallel, MultiSiteWorldIdenticalAcrossWorkerCounts) {
   }
 }
 
+// Always takes the FIFO pick. Installing it moves a simulator onto the
+// controlled dispatch path, which fires in exact (time, seq) order.
+struct FifoController : msim::ScheduleController {
+  std::size_t ChooseNext(const std::vector<msim::SchedCandidate>& eligible) override {
+    (void)eligible;
+    return 0;
+  }
+};
+
 TEST(SimulatorParallel, WorkersAndControllerAreMutuallyExclusive) {
-  struct FifoController : msim::ScheduleController {
-    std::size_t ChooseNext(const std::vector<msim::SchedCandidate>& eligible) override {
-      (void)eligible;
-      return 0;
-    }
-  } ctrl;
+  FifoController ctrl;
   Simulator sim;
   sim.SetWorkers(2);
   EXPECT_THROW(sim.SetController(&ctrl), std::logic_error);
@@ -630,6 +640,210 @@ TEST(SimulatorParallel, SetWorkersRejectedWithEventsPending) {
   sim.Run();
   sim.SetWorkers(2);  // legal once the queue drained
   EXPECT_EQ(sim.workers(), 2);
+}
+
+// ------------------------------------------------------------------------
+// Serial run-ahead (DESIGN.md §10.7): TryRunAhead claims a follow-up only
+// when the serial dispatcher would have fired it next anyway.
+
+TEST(SimulatorRunAhead, ClaimsOnlyWhatWouldFireNext) {
+  Simulator sim;
+  EXPECT_FALSE(sim.TryRunAhead(5));  // no run in progress
+  std::vector<bool> claims;
+  std::vector<Time> times;
+  sim.Schedule(0, [&] {
+    claims.push_back(sim.TryRunAhead(50));  // ties the pending event at 50
+    claims.push_back(sim.TryRunAhead(49));  // strictly before it
+    times.push_back(sim.Now());
+    claims.push_back(sim.TryRunAhead(1));  // 50: a tie again
+  });
+  sim.Schedule(50, [&] {
+    times.push_back(sim.Now());
+    claims.push_back(sim.TryRunAhead(7));  // nothing else pending
+    times.push_back(sim.Now());
+  });
+  EXPECT_EQ(sim.Run(), 4u);  // two fired, two claimed
+  EXPECT_EQ(claims, (std::vector<bool>{false, true, false, true}));
+  EXPECT_EQ(times, (std::vector<Time>{49, 50, 57}));
+  EXPECT_EQ(sim.ProcessedEvents(), 4u);
+  EXPECT_EQ(sim.RunAheadEvents(), 2u);
+}
+
+TEST(SimulatorRunAhead, StaysWithinTheDeadline) {
+  Simulator sim;
+  std::vector<bool> claims;
+  sim.Schedule(0, [&] {
+    claims.push_back(sim.TryRunAhead(21));
+    claims.push_back(sim.TryRunAhead(20));  // deadlines are inclusive
+  });
+  EXPECT_EQ(sim.RunUntil(20), 2u);
+  EXPECT_EQ(claims, (std::vector<bool>{false, true}));
+  EXPECT_EQ(sim.Now(), 20);
+}
+
+TEST(SimulatorRunAhead, StaysWithinTheEventBudget) {
+  Simulator sim;
+  int claimed = 0;
+  sim.Schedule(0, [&] {
+    while (claimed < 100 && sim.TryRunAhead(1)) {
+      ++claimed;
+    }
+  });
+  EXPECT_EQ(sim.Run(4), 4u);
+  EXPECT_EQ(claimed, 3);
+  EXPECT_EQ(sim.Now(), 3);
+  EXPECT_EQ(sim.ProcessedEvents(), 4u);
+}
+
+TEST(SimulatorRunAhead, RefusedOnceStopIsRequested) {
+  Simulator sim;
+  bool claimed = true;
+  sim.Schedule(0, [&] {
+    sim.Stop();
+    claimed = sim.TryRunAhead(1);
+  });
+  sim.Run();
+  EXPECT_FALSE(claimed);
+  EXPECT_EQ(sim.Now(), 0);
+}
+
+TEST(SimulatorRunAhead, RefusedUnderAControllerAndInParallelMode) {
+  FifoController fifo;
+  Simulator controlled;
+  controlled.SetController(&fifo);
+  bool claimed = true;
+  controlled.Schedule(0, [&] { claimed = controlled.TryRunAhead(1); });
+  controlled.Run();
+  EXPECT_FALSE(claimed);
+
+  Simulator parallel;
+  parallel.SetWorkers(2);
+  claimed = true;
+  parallel.Schedule(0, [&] { claimed = parallel.TryRunAhead(1); });
+  parallel.Run();
+  EXPECT_FALSE(claimed);
+}
+
+TEST(SimulatorRunAhead, NestedRunsAreRefusedAndLeaveTheSimulatorUsable) {
+  Simulator sim;
+  sim.Schedule(1, [&] { sim.Run(); });
+  EXPECT_THROW(sim.Run(), std::logic_error);
+  bool claimed = false;
+  sim.Schedule(1, [&] { claimed = sim.TryRunAhead(1); });
+  EXPECT_EQ(sim.Run(), 2u);
+  EXPECT_TRUE(claimed);
+}
+
+// Differential check: each world runs once on the plain dispatcher, which
+// runs compute slices ahead, and once under FifoController, which fires the
+// same (time, seq) order through the heap and never runs ahead. Everything
+// the run leaves behind must match.
+struct WorldOutcome {
+  std::uint64_t events = 0;
+  Time now = 0;
+  std::uint64_t packets = 0;
+  std::map<std::uint32_t, std::uint64_t> packets_by_type;
+  std::vector<mos::KernelStats> kernels;
+  std::vector<mirage::EngineStats> engines;
+  std::vector<double> results;  // the workload's own result fields
+  std::uint64_t ran_ahead = 0;
+};
+
+WorldOutcome Outcome(msysv::World& world, std::vector<double> results) {
+  WorldOutcome o;
+  o.events = world.sim().ProcessedEvents();
+  o.now = world.sim().Now();
+  o.packets = world.network().stats().packets;
+  o.packets_by_type = world.network().stats().packets_by_type;
+  for (int s = 0; s < world.site_count(); ++s) {
+    o.kernels.push_back(world.kernel(s).stats());
+    o.engines.push_back(world.engine(s)->stats());
+  }
+  o.results = std::move(results);
+  o.ran_ahead = world.sim().RunAheadEvents();
+  return o;
+}
+
+void ExpectSameOutcome(const WorldOutcome& plain, const WorldOutcome& fifo) {
+  EXPECT_GT(plain.ran_ahead, 0u);
+  EXPECT_EQ(fifo.ran_ahead, 0u);
+  EXPECT_EQ(plain.events, fifo.events);
+  EXPECT_EQ(plain.now, fifo.now);
+  EXPECT_GT(plain.packets, 0u);
+  EXPECT_EQ(plain.packets, fifo.packets);
+  EXPECT_EQ(plain.packets_by_type, fifo.packets_by_type);
+  ASSERT_EQ(plain.kernels.size(), fifo.kernels.size());
+  for (std::size_t s = 0; s < plain.kernels.size(); ++s) {
+    EXPECT_TRUE(plain.kernels[s] == fifo.kernels[s]) << "KernelStats of site " << s;
+    EXPECT_TRUE(plain.engines[s] == fifo.engines[s]) << "EngineStats of site " << s;
+  }
+  EXPECT_EQ(plain.results, fifo.results);
+}
+
+WorldOutcome RunReadWritersWorld(msim::ScheduleController* ctrl) {
+  msysv::WorldOptions opts;
+  opts.protocol.default_window_us = 120 * msim::kMillisecond;
+  msysv::World world(2, opts);
+  world.sim().SetController(ctrl);
+  mwork::ReadWritersParams prm;
+  prm.iterations = 20000;
+  auto r = mwork::LaunchReadWriters(world, prm);
+  world.RunUntil([&] { return r->completed(); }, 60 * msim::kSecond);
+  EXPECT_TRUE(r->completed());
+  return Outcome(world, {static_cast<double>(r->total_ops()),
+                         static_cast<double>(r->start_time()),
+                         static_cast<double>(r->end_time())});
+}
+
+WorldOutcome RunReplicatedRingWorld(msim::ScheduleController* ctrl) {
+  msysv::WorldOptions opts;
+  opts.protocol.default_window_us = 16667;  // one tick
+  opts.protocol.replicas = 2;
+  msysv::World world(4, opts);
+  world.sim().SetController(ctrl);
+  mwork::RingPingPongParams prm;
+  prm.rounds = 10;
+  auto r = mwork::LaunchRingPingPong(world, prm);
+  world.RunUntil([&] { return r->completed(); }, 120 * msim::kSecond);
+  EXPECT_TRUE(r->completed());
+  return Outcome(world, {static_cast<double>(r->cycles), static_cast<double>(r->start_time),
+                         static_cast<double>(r->end_time)});
+}
+
+WorldOutcome RunKvStoreWorld(msim::ScheduleController* ctrl) {
+  msysv::World world(4);
+  world.sim().SetController(ctrl);
+  mwork::KvStoreParams prm;
+  prm.keys = 64;
+  prm.ops_per_site = 60;
+  prm.zipf_s = 0.99;
+  prm.arrival_per_s = 240.0;
+  auto r = mwork::LaunchKvStore(world, prm);
+  world.RunUntil([&] { return r->completed(); }, 300 * msim::kSecond);
+  EXPECT_TRUE(r->completed());
+  return Outcome(world, {static_cast<double>(r->gets()), static_cast<double>(r->sets()),
+                         static_cast<double>(r->misses()), static_cast<double>(r->torn_reads()),
+                         static_cast<double>(r->integrity_failures()),
+                         static_cast<double>(r->queue_peak()),
+                         static_cast<double>(r->queue_depth_sum()),
+                         static_cast<double>(r->start_time()),
+                         static_cast<double>(r->end_time()), r->get_latency().MeanMs(),
+                         r->set_latency().MeanMs()});
+}
+
+TEST(SimulatorRunAhead, ReadWritersWorldMatchesControlledFifo) {
+  FifoController fifo;
+  ExpectSameOutcome(RunReadWritersWorld(nullptr), RunReadWritersWorld(&fifo));
+}
+
+TEST(SimulatorRunAhead, ReplicatedRingWorldMatchesControlledFifo) {
+  FifoController fifo;
+  ExpectSameOutcome(RunReplicatedRingWorld(nullptr), RunReplicatedRingWorld(&fifo));
+}
+
+TEST(SimulatorRunAhead, KvStoreWorldMatchesControlledFifo) {
+  FifoController fifo;
+  ExpectSameOutcome(RunKvStoreWorld(nullptr), RunKvStoreWorld(&fifo));
 }
 
 }  // namespace
