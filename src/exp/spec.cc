@@ -1,5 +1,6 @@
 #include "src/exp/spec.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -367,6 +368,13 @@ bool ExperimentSpec::Validate(std::string* error) const {
       return fail("sites values must be in 1..512");
     }
   }
+  // Sites are numbered from 0, and every point of the grid must have the
+  // sites that the library placement and the fault plans name.
+  const int min_sites = *std::min_element(sites.begin(), sites.end());
+  if (library_site < 0 || library_site >= min_sites) {
+    return fail("library_site must be in 0.." + std::to_string(min_sites - 1) +
+                " (below the smallest sites value)");
+  }
   for (const std::string& cp : cost_presets) {
     mnet::CostModel unused;
     if (!mnet::CostModel::FromName(cp, &unused)) {
@@ -395,7 +403,7 @@ bool ExperimentSpec::Validate(std::string* error) const {
   }
   for (const FaultPlanSpec& fp : fault_plans) {
     std::string why;
-    if (!fp.plan.Validate(&why)) {
+    if (!fp.plan.Validate(min_sites, &why)) {
       return fail("fault plan '" + fp.name + "': " + why);
     }
   }

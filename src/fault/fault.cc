@@ -25,7 +25,20 @@ const char* FaultKindName(FaultKind k) {
   return "?";
 }
 
-bool FaultPlan::Validate(std::string* error) const {
+bool FaultPlan::Validate(int site_count, std::string* error) const {
+  for (const FaultEvent& ev : events_) {
+    const bool link = ev.kind == FaultKind::kPartitionLink || ev.kind == FaultKind::kHealLink;
+    for (mnet::SiteId s : {ev.site, link ? ev.peer : ev.site}) {
+      if (s < 0 || s >= site_count) {
+        if (error != nullptr) {
+          *error = std::string(FaultKindName(ev.kind)) + " at " + std::to_string(ev.at_us) +
+                   "us names site " + std::to_string(s) + ", but the world has sites 0.." +
+                   std::to_string(site_count - 1);
+        }
+        return false;
+      }
+    }
+  }
   // Replay the schedule in firing order: ScheduleAt breaks time ties by
   // insertion order, so a stable sort by time reproduces it exactly.
   std::vector<FaultEvent> ordered = events_;
@@ -71,7 +84,7 @@ FaultInjector::FaultInjector(msim::Simulator* sim, mnet::Network* net,
 
 void FaultInjector::Schedule(const FaultPlan& plan) {
   std::string error;
-  if (!plan.Validate(&error)) {
+  if (!plan.Validate(static_cast<int>(kernels_.size()), &error)) {
     throw std::invalid_argument("invalid fault plan: " + error);
   }
   for (const FaultEvent& ev : plan.events()) {

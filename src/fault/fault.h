@@ -88,12 +88,15 @@ class FaultPlan {
     return *this;
   }
 
-  // Simulates the plan's timeline (events ordered by time, plan order on
-  // ties — the order the simulator fires them) and rejects schedules whose
-  // RecoverAt targets a site that is not crashed at that moment. Returns
-  // false and fills `error` on rejection. FaultInjector::Schedule calls this
-  // and throws std::invalid_argument on failure.
-  bool Validate(std::string* error) const;
+  // Checks the plan against a world of `site_count` sites. Rejects a plan
+  // that names a site outside [0, site_count) (a crash, pause, resume or
+  // recover target, or either end of a cut or heal), and simulates the
+  // timeline (events ordered by time, plan order on ties — the order the
+  // simulator fires them) to reject a RecoverAt whose target is not crashed
+  // at that moment. Returns false and fills `error` on rejection.
+  // FaultInjector::Schedule calls this and throws std::invalid_argument on
+  // failure.
+  bool Validate(int site_count, std::string* error) const;
 
   bool empty() const { return events_.empty(); }
   const std::vector<FaultEvent>& events() const { return events_; }

@@ -11,6 +11,9 @@ namespace {
 
 using mmem::ForEachSite;
 
+// Library service processes when ProtocolOptions::parallel_page_ops is on.
+constexpr int kParallelLibraryProcesses = 4;
+
 mnet::SiteId FirstSite(const mmem::SiteMask& mask) {
   int s = mmem::MaskLowest(mask);
   return s < 0 ? mnet::kNoSite : static_cast<mnet::SiteId>(s);
@@ -142,7 +145,7 @@ Engine::~Engine() { DetachAckWaits(); }
 void Engine::Start() {
   kernel_->SetPacketHandler(
       [this](mos::Process* self, mnet::Packet pkt) { return HandlePacket(self, std::move(pkt)); });
-  int lib_count = opts_.parallel_page_ops ? std::max(1, opts_.library_concurrency) : 1;
+  const int lib_count = opts_.parallel_page_ops ? kParallelLibraryProcesses : 1;
   for (int i = 0; i < lib_count; ++i) {
     lib_procs_.push_back(kernel_->Spawn("dsm-library-" + std::to_string(i),
                                         mos::Priority::kKernel,
@@ -166,10 +169,7 @@ mmem::SegmentImage* Engine::EnsureImage(const mmem::SegmentMeta& meta) {
   // first local attach re-creates the image — never clobber it.
   if (meta.library_site == site() && dirs_.count(meta.id) == 0) {
     auto dir = std::make_unique<SegDir>();
-    dir->pages.resize(meta.PageCount());
-    for (PageDir& pd : dir->pages) {
-      pd.window_us = opts_.default_window_us;
-    }
+    dir->pages.assign(meta.PageCount(), DirectoryView{.window_us = opts_.default_window_us});
     dirs_[meta.id] = std::move(dir);
   }
   return raw;
@@ -288,13 +288,7 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
       AdoptEpoch(seg, meta->epoch);
       pending = true;
       ++attempts;
-      PageRequestBody body;
-      body.seg = seg;
-      body.page = page;
-      body.write = write;
-      body.requester = site();
-      body.pid = p->pid;
-      body.epoch = meta->epoch;
+      const PageRequestBody body{seg, page, write, site(), p->pid, meta->epoch};
       if (meta->library_site == site()) {
         // Colocated library: no network message, just the local service cost
         // (the paper's 1.5 ms local fault service).
@@ -304,10 +298,7 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
       } else {
         ++stats_.remote_requests_sent;
         co_await kernel_->Compute(p, kernel_->costs().fault_request_cpu_us);
-        co_await kernel_->Send(
-            p, mnet::MakePacket(site(), meta->library_site,
-                                static_cast<std::uint32_t>(MsgKind::kPageRequest),
-                                kShortMsgBytes, body));
+        co_await Send(p, meta->library_site, body);
       }
       deadline = kernel_->Now() + wait;
       // Time passed inside the Compute/Send awaits above: the answer (or a
@@ -350,158 +341,135 @@ msim::Task<mmem::FaultStatus> Engine::Fault(mos::Process* p, mmem::SegmentId seg
 
 // --------------------------------------------------------------- receive  --
 
+template <typename Body>
+const Body& Engine::Decode(const mnet::Packet& pkt) {
+  if (pkt.type != static_cast<std::uint32_t>(Body::kKind)) {
+    throw std::logic_error(std::string("mirage: ") + MsgKindName(static_cast<MsgKind>(pkt.type)) +
+                           " packet decoded as " + MsgKindName(Body::kKind));
+  }
+  return mnet::PacketBody<Body>(pkt);
+}
+
+template <typename Body>
+const Body* Engine::Fenced(const mnet::Packet& pkt) {
+  const Body& b = Decode<Body>(pkt);
+  return StaleEpoch(b.seg, b.epoch) ? nullptr : &b;
+}
+
 msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
   switch (static_cast<MsgKind>(pkt.type)) {
-    case MsgKind::kPageRequest: {
-      EnqueueLibraryRequest(mnet::PacketBody<PageRequestBody>(pkt));
+    case MsgKind::kPageRequest:
+      // Fenced in EnqueueLibraryRequest, which colocated requests share.
+      EnqueueLibraryRequest(Decode<PageRequestBody>(pkt));
       break;
-    }
     case MsgKind::kClockOp: {
-      ClockOpBody b = mnet::PacketBody<ClockOpBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
+      const auto* b = Fenced<ClockOpBody>(pkt);
+      if (b == nullptr) {
         break;
       }
-      if (b.clock_check) {
-        msim::Duration remaining = LocalWindowRemaining(b.seg, b.page);
-        bool honor = remaining <= 0 ||
-                     (opts_.honor_small_remaining &&
-                      remaining <= kernel_->costs().invalidation_retry_threshold_us);
-        if (!honor) {
-          if (opts_.queued_invalidation) {
-            // Hold the invalidation and execute it at window expiry — the
-            // optimization the paper names but did not implement.
-            ++stats_.queued_invalidations;
-            Trace("clock", [&] {
-              return "queued invalidation, " + std::to_string(remaining) + " us left";
-            });
-            kernel_->sim()->Schedule(remaining, static_cast<msim::EventDomain>(site()),
-                                     [this, b] {
-              worker_queue_.push_back(b);
-              kernel_->Wakeup(worker_chan_);
-            });
-          } else {
-            ++stats_.wait_replies_sent;
-            Trace("clock", [&] {
-              return "refuse invalidation, " + std::to_string(remaining) + " us left";
-            });
-            WaitReplyBody r{b.seg, b.page, b.req_id, remaining, b.epoch};
-            co_await kernel_->Send(
-                self, mnet::MakePacket(site(), pkt.src,
-                                       static_cast<std::uint32_t>(MsgKind::kWaitReply),
-                                       kShortMsgBytes, r));
-          }
-          break;
+      if (const msim::Duration remaining = WindowLeft(*b); remaining > 0) {
+        if (opts_.queued_invalidation) {
+          // Hold the invalidation and execute it at window expiry — the
+          // optimization the paper names but did not implement.
+          ++stats_.queued_invalidations;
+          Trace("clock", [&] {
+            return "queued invalidation, " + std::to_string(remaining) + " us left";
+          });
+          kernel_->sim()->Schedule(remaining, static_cast<msim::EventDomain>(site()),
+                                   [this, op = *b] {
+            worker_queue_.push_back(op);
+            kernel_->Wakeup(worker_chan_);
+          });
+        } else {
+          ++stats_.wait_replies_sent;
+          Trace("clock", [&] {
+            return "refuse invalidation, " + std::to_string(remaining) + " us left";
+          });
+          co_await Send(self, pkt.src,
+                        WaitReplyBody{b->seg, b->page, b->req_id, remaining, b->epoch});
         }
+        break;
       }
-      worker_queue_.push_back(b);
+      worker_queue_.push_back(*b);
       kernel_->Wakeup(worker_chan_);
       break;
     }
-    case MsgKind::kWaitReply: {
-      const auto& b = mnet::PacketBody<WaitReplyBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
-      }
-      if (AckWait* w = FindAckWait(AckRole::kInstall, b.seg, b.req_id)) {
-        w->wait_reply = true;
-        w->wait_remaining_us = b.remaining_us;
-        kernel_->Wakeup(w->chan);
+    case MsgKind::kWaitReply:
+      if (const auto* b = Fenced<WaitReplyBody>(pkt)) {
+        if (AckWait* w = FindAckWait(AckRole::kInstall, b->seg, b->req_id)) {
+          w->wait_reply = true;
+          w->wait_remaining_us = b->remaining_us;
+          kernel_->Wakeup(w->chan);
+        }
       }
       break;
-    }
-    case MsgKind::kInvalidatePage: {
-      const auto& b = mnet::PacketBody<InvalidatePageBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        // A pre-crash invalidation must not destroy a copy the reconstructed
-        // directory is counting on. No ack either: the stale clock op is
-        // fenced everywhere and abandons itself.
-        break;
+    case MsgKind::kInvalidatePage:
+      // Fenced: a pre-crash invalidation must not destroy a copy the
+      // reconstructed directory is counting on. No ack either: the stale
+      // clock op is fenced everywhere and abandons itself.
+      if (const auto* b = Fenced<InvalidatePageBody>(pkt)) {
+        ApplyInvalidate(*b);
+        co_await Send(self, pkt.src,
+                      InvalidateAckBody{b->seg, b->page, b->req_id, site(), b->epoch});
       }
-      ApplyInvalidate(b);
-      InvalidateAckBody a{b.seg, b.page, b.req_id, site(), b.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), pkt.src,
-                                 static_cast<std::uint32_t>(MsgKind::kInvalidateAck),
-                                 kShortMsgBytes, a));
       break;
-    }
-    case MsgKind::kInvalidateAck: {
-      const auto& b = mnet::PacketBody<InvalidateAckBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        // Fenced: a pre-crash ack must not credit a successor's op (request
-        // ids restart at the new library, so collisions are possible).
-        break;
+    case MsgKind::kInvalidateAck:
+      // Fenced: a pre-crash ack must not credit a successor's op (request
+      // ids restart at the new library, so collisions are possible).
+      if (const auto* b = Fenced<InvalidateAckBody>(pkt)) {
+        CreditAck(AckRole::kInvalidate, b->seg, b->req_id, b->from);
       }
-      CreditAck(AckRole::kInvalidate, b.seg, b.req_id, b.from);
       break;
-    }
-    case MsgKind::kPageInstall: {
-      const auto& b = mnet::PacketBody<PageInstallBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
+    case MsgKind::kPageInstall:
+      if (const auto* b = Fenced<PageInstallBody>(pkt)) {
+        AdoptEpoch(b->seg, b->epoch);
+        ApplyInstall(*b);
+        co_await AckInstall(self, *b);
       }
-      AdoptEpoch(b.seg, b.epoch);
-      ApplyInstall(b);
-      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
-    }
-    case MsgKind::kUpgradeGrant: {
-      const auto& b = mnet::PacketBody<UpgradeGrantBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
+    case MsgKind::kUpgradeGrant:
+      if (const auto* b = Fenced<UpgradeGrantBody>(pkt)) {
+        AdoptEpoch(b->seg, b->epoch);
+        ApplyUpgrade(*b);
+        co_await AckInstall(self, *b);
       }
-      AdoptEpoch(b.seg, b.epoch);
-      ApplyUpgrade(b);
-      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
-    }
-    case MsgKind::kInstallAck: {
-      const auto& b = mnet::PacketBody<InstallAckBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
+    case MsgKind::kInstallAck:
+      if (const auto* b = Fenced<InstallAckBody>(pkt)) {
+        CreditAck(AckRole::kInstall, b->seg, b->req_id, b->from);
       }
-      CreditAck(AckRole::kInstall, b.seg, b.req_id, b.from);
       break;
-    }
-    case MsgKind::kRequestFailed: {
-      const auto& b = mnet::PacketBody<RequestFailedBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
+    case MsgKind::kRequestFailed:
+      if (const auto* b = Fenced<RequestFailedBody>(pkt)) {
+        AdoptEpoch(b->seg, b->epoch);
+        ApplyRequestFailed(*b);
       }
-      AdoptEpoch(b.seg, b.epoch);
-      ApplyRequestFailed(b);
       break;
-    }
     case MsgKind::kRecoveryQuery: {
-      const auto& b = mnet::PacketBody<RecoveryQueryBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
+      const auto* b = Fenced<RecoveryQueryBody>(pkt);
+      if (b == nullptr) {
         break;
       }
       // Adopting the epoch fences all pre-crash traffic and re-targets this
       // site's outstanding requests at the successor library.
-      AdoptEpoch(b.seg, b.epoch);
-      auto meta = registry_->FindById(b.seg);
+      AdoptEpoch(b->seg, b->epoch);
+      auto meta = registry_->FindById(b->seg);
       if (!meta.has_value()) {
         break;  // destroyed while the query was in flight
       }
       ++stats_.recovery_replies_sent;
-      RecoveryReplyBody r;
-      r.seg = b.seg;
-      r.epoch = b.epoch;
-      r.from = site();
-      r.pages = LocalCopyState(b.seg, meta->PageCount());
       Trace("recovery", [&] {
-        return "answer recovery query for seg " + std::to_string(b.seg) + " epoch " +
-               std::to_string(b.epoch);
+        return "answer recovery query for seg " + std::to_string(b->seg) + " epoch " +
+               std::to_string(b->epoch);
       });
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), b.new_library,
-                                 static_cast<std::uint32_t>(MsgKind::kRecoveryReply),
-                                 kShortMsgBytes, std::move(r)));
+      // A named body, not a temporary inside the co_await: g++ 12 destroys
+      // such an aggregate temporary twice when a member owns memory.
+      RecoveryReplyBody reply{b->seg, b->epoch, site(), LocalCopyState(b->seg, meta->PageCount())};
+      co_await Send(self, b->new_library, std::move(reply));
       break;
     }
     case MsgKind::kRecoveryReply: {
-      const auto& b = mnet::PacketBody<RecoveryReplyBody>(pkt);
+      const auto& b = Decode<RecoveryReplyBody>(pkt);
       AckWait* w = CreditAck(AckRole::kRecovery, b.seg, b.epoch, b.from);
       if (w == nullptr) {
         (void)StaleEpoch(b.seg, b.epoch);  // count pre-crash stragglers
@@ -510,45 +478,37 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
       (*w->replies)[b.from] = b.pages;
       break;
     }
-    case MsgKind::kReplicate: {
-      const auto& b = mnet::PacketBody<ReplicateBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        // A stale replicate must not overwrite a standby the reconstructed
-        // directory may promote. No ack: the stale commit is fenced at its
-        // origin too and abandons itself.
-        break;
+    case MsgKind::kReplicate:
+      // Fenced: a stale replicate must not overwrite a standby the
+      // reconstructed directory may promote. No ack: the stale commit is
+      // fenced at its origin too and abandons itself.
+      if (const auto* b = Fenced<ReplicateBody>(pkt)) {
+        ApplyReplicate(*b);
+        co_await Send(self, b->from,
+                      ReplicateAckBody{b->seg, b->page, b->req_id, b->version, site(), b->epoch});
       }
-      ApplyReplicate(b);
-      ReplicateAckBody a{b.seg, b.page, b.req_id, b.version, site(), b.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), b.from,
-                                 static_cast<std::uint32_t>(MsgKind::kReplicateAck),
-                                 kShortMsgBytes, a));
       break;
-    }
-    case MsgKind::kReplicateAck: {
-      const auto& b = mnet::PacketBody<ReplicateAckBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;  // fenced: a pre-crash ack must not credit a successor's quorum
+    case MsgKind::kReplicateAck:
+      // Fenced: a pre-crash ack must not credit a successor's quorum.
+      if (const auto* b = Fenced<ReplicateAckBody>(pkt)) {
+        CreditAck(AckRole::kReplicate, b->seg, b->req_id, b->from);
       }
-      CreditAck(AckRole::kReplicate, b.seg, b.req_id, b.from);
       break;
-    }
-    case MsgKind::kPromoteReplica: {
-      const auto& b = mnet::PacketBody<PromoteReplicaBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;
+    case MsgKind::kPromoteReplica:
+      if (const auto* b = Fenced<PromoteReplicaBody>(pkt)) {
+        AdoptEpoch(b->seg, b->epoch);
+        ApplyPromoteReplica(*b);
+        co_await AckInstall(self, *b);
       }
-      AdoptEpoch(b.seg, b.epoch);
-      ApplyPromoteReplica(b);
-      co_await AckInstall(self, b.seg, b.page, b.req_id, b.library_site, b.epoch);
       break;
-    }
     case MsgKind::kRejoinAnnounce: {
-      const auto& b = mnet::PacketBody<RejoinAnnounceBody>(pkt);
-      if (StaleEpoch(b.seg, b.epoch)) {
-        break;  // announce raced a failover; the rejoiner re-reads the registry
+      // Fenced: the announce raced a failover; the rejoiner re-reads the
+      // registry.
+      const auto* announce = Fenced<RejoinAnnounceBody>(pkt);
+      if (announce == nullptr) {
+        break;
       }
+      const RejoinAnnounceBody& b = *announce;
       auto dit = dirs_.find(b.seg);
       if (dit == dirs_.end() && recovering_.count(b.seg) == 0) {
         break;  // not this site's segment (destroyed, or the registry moved on)
@@ -566,8 +526,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
         // page. The new incarnation re-faults with fresh requests after this
         // announce, so dropping is always safe.
         for (auto qit = lib_queue_.begin(); qit != lib_queue_.end();) {
-          if (!qit->respread && qit->body.seg == b.seg &&
-              qit->body.requester == b.from) {
+          if (!qit->respread && qit->body.seg == b.seg && qit->body.requester == b.from) {
             ++stats_.requests_dropped;
             Trace("rejoin", [&] {
               return "drop pre-crash request from site " + std::to_string(b.from) + " page " +
@@ -580,7 +539,7 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
         }
         bool any_lost = false;
         bool needs_rebuild = false;
-        for (PageDir& pd : dit->second->pages) {
+        for (DirectoryView& pd : dit->second->pages) {
           // Scrub pre-crash membership: the rejoiner reboots with amnesia, so
           // any copy the directory still attributes to it is gone. (Pages
           // whose writer or clock site crashed were already rebuilt at crash
@@ -616,42 +575,20 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
           });
           StartRecovery(b.seg, /*elected=*/false);
         } else if (opts_.replicas >= 2) {
-          // Pull the rejoined site back into the k-standby set.
-          mmem::SiteMask rset = ChooseReplicaSet(b.seg);
-          bool queued = false;
-          int page = 0;
-          for (const PageDir& pd : dit->second->pages) {
-            // A page needs a re-spread if its (just-scrubbed) set differs
-            // from the refreshed choice — membership changed under it, or the
-            // scrub above removed the rejoiner's died-with-it standby.
-            if (!pd.lost && pd.mode != PageMode::kEmpty && pd.replica_set != rset) {
-              Request r;
-              r.respread = true;
-              r.body.seg = b.seg;
-              r.body.page = page;
-              r.body.requester = site();
-              r.body.epoch = KnownEpoch(b.seg);
-              r.queued_at = kernel_->Now();
-              lib_queue_.push_back(std::move(r));
-              NoteLibEnqueue();
-              queued = true;
-            }
-            ++page;
-          }
-          if (queued) {
-            kernel_->Wakeup(lib_chan_);
-          }
+          // Pull the rejoined site back into the k-standby set: a page needs
+          // a re-spread if its (just-scrubbed) set differs from the refreshed
+          // choice — membership changed under it, or the scrub above removed
+          // the rejoiner's died-with-it standby.
+          const mmem::SiteMask rset = ChooseReplicaSet(b.seg);
+          QueueRespreads(b.seg, KnownEpoch(b.seg),
+                         [rset](const DirectoryView& pd) { return pd.replica_set != rset; });
         }
       }
-      RejoinWelcomeBody w{b.seg, KnownEpoch(b.seg), site()};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), b.from,
-                                 static_cast<std::uint32_t>(MsgKind::kRejoinWelcome),
-                                 kShortMsgBytes, w));
+      co_await Send(self, b.from, RejoinWelcomeBody{b.seg, KnownEpoch(b.seg), site()});
       break;
     }
     case MsgKind::kRejoinWelcome: {
-      const auto& b = mnet::PacketBody<RejoinWelcomeBody>(pkt);
+      const auto& b = Decode<RejoinWelcomeBody>(pkt);
       // The re-admission fence: from here on this site acts only under the
       // current epoch. (The reboot erased all pre-crash state; adopting the
       // epoch additionally fences any stale in-flight message that slipped
@@ -681,8 +618,7 @@ void Engine::EnqueueLibraryRequest(const PageRequestBody& body) {
            std::to_string(body.requester) + " seg " + std::to_string(body.seg) + " page " +
            std::to_string(body.page);
   });
-  lib_queue_.push_back(Request{body, kernel_->Now()});
-  NoteLibEnqueue();
+  PushLibRequest(Request{body, kernel_->Now()});
   kernel_->Wakeup(lib_chan_);
 }
 
@@ -835,7 +771,17 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
   const mmem::SegmentId seg = req.body.seg;
   const mmem::PageNum page = req.body.page;
   const mnet::SiteId requester = req.body.requester;
-  PageDir& pd = dit->second->pages.at(page);
+  DirectoryView& pd = dit->second->pages.at(page);
+  // The base of every clock op this library issues for the page; the
+  // re-spread and each Table 1 row set the action and the site sets.
+  auto clock_op = [&](std::uint64_t req_id, msim::Duration window_us) {
+    return ClockOpBody{.seg = seg,
+                       .page = page,
+                       .req_id = req_id,
+                       .new_window_us = window_us,
+                       .library_site = site(),
+                       .epoch = KnownEpoch(seg)};
+  };
 
   if (req.respread) {
     // Membership-change re-spread: re-replicate the page's committed
@@ -858,18 +804,10 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
         ++live_before;
       }
     });
-    ClockOpBody op;
-    op.seg = seg;
-    op.page = page;
-    op.req_id = next_req_id_++;
+    ClockOpBody op = clock_op(next_req_id_++, pd.window_us);
     op.action = ClockAction::kReplicateOnly;
-    op.targets = 0;
-    op.invalidate_set = 0;
     op.resulting_readers = pd.readers;
-    op.new_window_us = pd.window_us;
     op.clock_check = false;
-    op.library_site = site();
-    op.epoch = KnownEpoch(seg);
     op.replicate_set = rset;
     op.commit_version = pd.version + 1;
     Trace("replicate", [&] {
@@ -956,145 +894,85 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
   const msim::Time op_deadline = OpDeadline();
   // The clock site driving the op; kNoSite when the library grants directly.
   const mnet::SiteId clock_site = pd.mode == PageMode::kEmpty ? mnet::kNoSite : pd.clock_site;
-  // Replication: every clock op that moves page contents is a commit point —
-  // the data-holding site quorum-replicates the captured page before the
-  // grant goes out. kSendCopy and kUpgradeWriter move no new contents, so
-  // the standing committed version (and its standby set) stays valid.
-  auto arm_commit = [&](ClockOpBody& op) {
-    if (opts_.replicas >= 2) {
-      op.replicate_set = ChooseReplicaSet(seg);
-      op.commit_version = pd.version + 1;
-    }
-  };
-  auto apply_commit = [&](const ClockOpBody& op) {
-    if (op.replicate_set != 0) {
-      pd.version = op.commit_version;
-      pd.replica_set = op.replicate_set;
-    }
-  };
   // Directory transitions are applied only when the operation succeeds; on
   // failure the page is marked lost and the waiting requesters are told.
   bool ok = true;
-  switch (pd.mode) {
-    case PageMode::kEmpty: {
-      ok = co_await GrantFromEmpty(self, pd, req, batch, req_id, window, op_deadline);
-      break;
+  if (pd.mode == PageMode::kEmpty) {
+    ok = co_await GrantFromEmpty(self, pd, req, batch, req_id, window, op_deadline);
+  } else {
+    ClockOpBody op = clock_op(req_id, window);
+    if (pd.mode == PageMode::kReaders && !req.body.write) {
+      // Table 1 row 1: Readers <- Readers. No clock check, no invalidation;
+      // the clock site is informed of the additional readers.
+      op.action = ClockAction::kSendCopy;
+      op.targets = batch & ~pd.readers;
+      op.resulting_readers = pd.readers | batch;
+      op.clock_check = false;
+    } else if (pd.mode == PageMode::kReaders) {
+      // Table 1 row 2: Readers <- Writer. Clock check; invalidate; possible
+      // upgrade if the new writer is in the old read set (optimization 1).
+      bool upgrade = opts_.upgrade_optimization && mmem::MaskHas(pd.readers, requester);
+      op.action = upgrade ? ClockAction::kUpgradeWriter : ClockAction::kInvalidateForWriter;
+      op.targets = mmem::MaskOf(requester);
+      op.invalidate_set = pd.readers & ~mmem::MaskOf(requester) & ~mmem::MaskOf(pd.clock_site);
+    } else if (req.body.write) {
+      // Table 1 row 4: Writer <- Writer. Clock check; invalidate (the clock
+      // site is the writer, so that is its local action).
+      op.action = ClockAction::kInvalidateForWriter;
+      op.targets = mmem::MaskOf(requester);
+    } else if (opts_.downgrade_optimization) {
+      // Table 1 row 3: Writer <- Readers. Clock check; downgrade the writer
+      // to reader (optimization 2)...
+      op.action = ClockAction::kDowngradeForReaders;
+      op.targets = batch & ~mmem::MaskOf(pd.writer);
+      op.resulting_readers = batch | mmem::MaskOf(pd.writer);
+    } else {
+      // ...or invalidate it when optimization 2 is off.
+      op.action = ClockAction::kInvalidateForReaders;
+      op.targets = batch;
+      op.resulting_readers = batch;
     }
-    case PageMode::kReaders: {
-      if (!req.body.write) {
-        // Table 1 row 1: Readers <- Readers. No clock check, no invalidation;
-        // the clock site is informed of the additional readers.
-        ClockOpBody op;
-        op.seg = seg;
-        op.page = page;
-        op.req_id = req_id;
-        op.action = ClockAction::kSendCopy;
-        op.targets = batch & ~pd.readers;
-        op.invalidate_set = 0;
-        op.resulting_readers = pd.readers | batch;
-        op.new_window_us = window;
-        op.clock_check = false;
-        op.library_site = site();
-        op.epoch = KnownEpoch(seg);
-        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
-        if (ok) {
+    // Replication: every clock op that moves page contents is a commit point —
+    // the data-holding site quorum-replicates the captured page before the
+    // grant goes out. kSendCopy and kUpgradeWriter move no new contents, so
+    // the standing committed version (and its standby set) stays valid.
+    if (opts_.replicas >= 2 && op.action != ClockAction::kSendCopy &&
+        op.action != ClockAction::kUpgradeWriter) {
+      op.replicate_set = ChooseReplicaSet(seg);
+      op.commit_version = pd.version + 1;
+    }
+    ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
+    if (ok) {
+      if (op.replicate_set != 0) {
+        pd.version = op.commit_version;
+        pd.replica_set = op.replicate_set;
+      }
+      switch (op.action) {
+        case ClockAction::kSendCopy:
           pd.readers |= batch;
-        }
-      } else {
-        // Table 1 row 2: Readers <- Writer. Clock check; invalidate; possible
-        // upgrade if the new writer is in the old read set (optimization 1).
-        bool upgrade = opts_.upgrade_optimization && mmem::MaskHas(pd.readers, requester);
-        ClockOpBody op;
-        op.seg = seg;
-        op.page = page;
-        op.req_id = req_id;
-        op.action = upgrade ? ClockAction::kUpgradeWriter : ClockAction::kInvalidateForWriter;
-        op.targets = mmem::MaskOf(requester);
-        op.invalidate_set =
-            pd.readers & ~mmem::MaskOf(requester) & ~mmem::MaskOf(pd.clock_site);
-        op.resulting_readers = 0;
-        op.new_window_us = window;
-        op.clock_check = true;
-        op.library_site = site();
-        op.epoch = KnownEpoch(seg);
-        if (!upgrade) {
-          arm_commit(op);
-        }
-        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
-        if (ok) {
-          apply_commit(op);
+          break;
+        case ClockAction::kUpgradeWriter:
+        case ClockAction::kInvalidateForWriter:
           pd.mode = PageMode::kWriter;
           pd.writer = requester;
           pd.clock_site = requester;
           pd.readers = 0;
-        }
+          break;
+        case ClockAction::kDowngradeForReaders:
+          pd.mode = PageMode::kReaders;
+          pd.readers = op.resulting_readers;
+          pd.writer = mnet::kNoSite;
+          // The downgraded writer remains the clock site.
+          break;
+        case ClockAction::kInvalidateForReaders:
+          pd.mode = PageMode::kReaders;
+          pd.readers = batch;
+          pd.writer = mnet::kNoSite;
+          pd.clock_site = FirstSite(batch);
+          break;
+        case ClockAction::kReplicateOnly:
+          break;
       }
-      break;
-    }
-    case PageMode::kWriter: {
-      if (req.body.write) {
-        // Table 1 row 4: Writer <- Writer. Clock check; invalidate.
-        ClockOpBody op;
-        op.seg = seg;
-        op.page = page;
-        op.req_id = req_id;
-        op.action = ClockAction::kInvalidateForWriter;
-        op.targets = mmem::MaskOf(requester);
-        op.invalidate_set = 0;  // the clock site is the writer; local action
-        op.resulting_readers = 0;
-        op.new_window_us = window;
-        op.clock_check = true;
-        op.library_site = site();
-        op.epoch = KnownEpoch(seg);
-        arm_commit(op);
-        ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
-        if (ok) {
-          apply_commit(op);
-          pd.writer = requester;
-          pd.clock_site = requester;
-        }
-      } else {
-        // Table 1 row 3: Writer <- Readers. Clock check; downgrade the writer
-        // to reader (optimization 2), or invalidate it when disabled.
-        ClockOpBody op;
-        op.seg = seg;
-        op.page = page;
-        op.req_id = req_id;
-        op.new_window_us = window;
-        op.clock_check = true;
-        op.library_site = site();
-        op.epoch = KnownEpoch(seg);
-        if (opts_.downgrade_optimization) {
-          op.action = ClockAction::kDowngradeForReaders;
-          op.targets = batch & ~mmem::MaskOf(pd.writer);
-          op.invalidate_set = 0;
-          op.resulting_readers = batch | mmem::MaskOf(pd.writer);
-          arm_commit(op);
-          ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
-          if (ok) {
-            apply_commit(op);
-            pd.mode = PageMode::kReaders;
-            pd.readers = op.resulting_readers;
-            pd.writer = mnet::kNoSite;
-            // The downgraded writer remains the clock site.
-          }
-        } else {
-          op.action = ClockAction::kInvalidateForReaders;
-          op.targets = batch;
-          op.invalidate_set = 0;
-          op.resulting_readers = batch;
-          arm_commit(op);
-          ok = co_await IssueClockOp(self, clock_site, op, op_deadline);
-          if (ok) {
-            apply_commit(op);
-            pd.mode = PageMode::kReaders;
-            pd.readers = batch;
-            pd.writer = mnet::kNoSite;
-            pd.clock_site = FirstSite(batch);
-          }
-        }
-      }
-      break;
     }
   }
   if (!ok) {
@@ -1128,7 +1006,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
   }
 }
 
-msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const Request& req,
+msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, DirectoryView& pd, const Request& req,
                                         mmem::SiteMask batch, std::uint64_t req_id,
                                         msim::Duration window_us, msim::Time op_deadline) {
   const bool write = req.body.write;
@@ -1159,42 +1037,28 @@ msim::Task<bool> Engine::GrantFromEmpty(mos::Process* self, PageDir& pd, const R
   }
 
   // First checkout: the page has never left the library; it is zero-filled.
+  // The local install goes first, then the remote ones in site order. Each
+  // is stamped with the epoch current as it leaves: a reconstruction can
+  // start while an earlier install is on the wire.
+  PageInstallBody install{.seg = req.body.seg,
+                          .page = req.body.page,
+                          .req_id = req_id,
+                          .writable = write,
+                          .window_us = window_us,
+                          .library_site = site(),
+                          .resulting_readers = write ? 0 : batch,
+                          .writer_site = write ? requester : mnet::kNoSite,
+                          .data = mmem::PageBytes(mmem::kPageSize, 0)};
   std::vector<mnet::SiteId> remote;
-  ForEachSite(targets, [&](mnet::SiteId s) {
-    if (s != site()) {
-      remote.push_back(s);
-    }
-  });
+  ForEachSite(targets & ~mmem::MaskOf(site()), [&](mnet::SiteId s) { remote.push_back(s); });
   if (mmem::MaskHas(targets, site())) {
-    PageInstallBody local;
-    local.seg = req.body.seg;
-    local.page = req.body.page;
-    local.req_id = req_id;
-    local.writable = write;
-    local.window_us = window_us;
-    local.library_site = site();
-    local.resulting_readers = write ? 0 : batch;
-    local.writer_site = write ? requester : mnet::kNoSite;
-    local.epoch = KnownEpoch(req.body.seg);
-    local.data.assign(mmem::kPageSize, 0);
-    ApplyInstall(local);
+    install.epoch = KnownEpoch(req.body.seg);
+    ApplyInstall(install);
     w.acks.Credit(site());
   }
   for (mnet::SiteId s : remote) {
-    PageInstallBody b;
-    b.seg = req.body.seg;
-    b.page = req.body.page;
-    b.req_id = req_id;
-    b.writable = write;
-    b.window_us = window_us;
-    b.library_site = site();
-    b.resulting_readers = write ? 0 : batch;
-    b.writer_site = write ? requester : mnet::kNoSite;
-    b.epoch = KnownEpoch(req.body.seg);
-    b.data.assign(mmem::kPageSize, 0);
-    co_await kernel_->Send(
-        self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kPageInstall),
-                               kPageMsgBytes, std::move(b)));
+    install.epoch = KnownEpoch(req.body.seg);
+    co_await Send(self, s, install);
   }
   if (co_await AwaitAcks(self, w) != AckWaitResult::kComplete) {
     co_return false;
@@ -1235,24 +1099,16 @@ msim::Task<bool> Engine::IssueClockOp(mos::Process* self, mnet::SiteId clock_sit
     if (clock_site == site()) {
       // Colocated clock site: the check and the operation run in the library
       // process itself — no network messages for the clock exchange.
-      if (op.clock_check) {
-        msim::Duration remaining = LocalWindowRemaining(op.seg, op.page);
-        bool honor = remaining <= 0 ||
-                     (opts_.honor_small_remaining &&
-                      remaining <= kernel_->costs().invalidation_retry_threshold_us);
-        if (!honor) {
-          ++stats_.invalidation_retries;
-          co_await kernel_->SleepFor(self, remaining);
-          continue;
-        }
+      if (const msim::Duration remaining = WindowLeft(op); remaining > 0) {
+        ++stats_.invalidation_retries;
+        co_await kernel_->SleepFor(self, remaining);
+        continue;
       }
       if (!co_await ExecuteClockOp(self, op)) {
         co_return false;
       }
     } else {
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), clock_site, static_cast<std::uint32_t>(MsgKind::kClockOp),
-                                 kShortMsgBytes, op));
+      co_await Send(self, clock_site, op);
     }
     AckWaitResult r = co_await AwaitAcks(self, w);
     if (r != AckWaitResult::kWaitReply) {
@@ -1317,17 +1173,14 @@ Engine::AckWait* Engine::CreditAck(AckRole role, mmem::SegmentId seg, std::uint6
   return w;
 }
 
-msim::Task<> Engine::AckInstall(mos::Process* self, mmem::SegmentId seg, mmem::PageNum page,
-                                std::uint64_t req_id, mnet::SiteId library_site,
-                                std::uint32_t epoch) {
-  if (library_site == site()) {
-    CreditAck(AckRole::kInstall, seg, req_id, site());
+template <typename Grant>
+msim::Task<> Engine::AckInstall(mos::Process* self, const Grant& grant) {
+  if (grant.library_site == site()) {
+    CreditAck(AckRole::kInstall, grant.seg, grant.req_id, site());
     co_return;
   }
-  InstallAckBody a{seg, page, req_id, site(), epoch};
-  co_await kernel_->Send(self, mnet::MakePacket(site(), library_site,
-                                                static_cast<std::uint32_t>(MsgKind::kInstallAck),
-                                                kShortMsgBytes, a));
+  co_await Send(self, grant.library_site,
+                InstallAckBody{grant.seg, grant.page, grant.req_id, site(), grant.epoch});
 }
 
 msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait& w) {
@@ -1391,16 +1244,17 @@ msim::Task<> Engine::NotifyRequestFailed(mos::Process* self, mmem::SegmentId seg
                                          mmem::SiteMask requesters) {
   std::vector<mnet::SiteId> sites;
   ForEachSite(requesters, [&](mnet::SiteId s) { sites.push_back(s); });
+  RequestFailedBody failed{seg, page, req_id, /*epoch=*/0};
   for (mnet::SiteId s : sites) {
+    // Stamped as each notice leaves: the epoch can move while an earlier
+    // one is on the wire.
+    failed.epoch = KnownEpoch(seg);
     if (s == site()) {
       ++stats_.fail_notices_sent;
-      ApplyRequestFailed(RequestFailedBody{seg, page, req_id, KnownEpoch(seg)});
+      ApplyRequestFailed(failed);
     } else if (kernel_->net()->SiteUp(s)) {
       ++stats_.fail_notices_sent;
-      co_await kernel_->Send(
-          self,
-          mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kRequestFailed),
-                           kShortMsgBytes, RequestFailedBody{seg, page, req_id, KnownEpoch(seg)}));
+      co_await Send(self, s, failed);
     }
   }
 }
@@ -1429,6 +1283,28 @@ mmem::SiteMask Engine::ChooseReplicaSet(mmem::SegmentId seg) const {
   return out;
 }
 
+template <typename Pred>
+void Engine::QueueRespreads(mmem::SegmentId seg, std::uint32_t epoch, Pred needs) {
+  auto dit = dirs_.find(seg);
+  if (dit == dirs_.end()) {
+    return;
+  }
+  const std::vector<DirectoryView>& pages = dit->second->pages;
+  bool queued = false;
+  for (int p = 0; p < static_cast<int>(pages.size()); ++p) {
+    if (pages[p].lost || pages[p].mode == PageMode::kEmpty || !needs(pages[p])) {
+      continue;
+    }
+    PushLibRequest(Request{.body = {.seg = seg, .page = p, .requester = site(), .epoch = epoch},
+                           .queued_at = kernel_->Now(),
+                           .respread = true});
+    queued = true;
+  }
+  if (queued) {
+    kernel_->Wakeup(lib_chan_);
+  }
+}
+
 msim::Task<bool> Engine::ReplicateAndWait(mos::Process* self, mmem::SegmentId seg,
                                           mmem::PageNum page, std::uint64_t req_id,
                                           std::uint64_t version, std::uint32_t epoch,
@@ -1441,34 +1317,17 @@ msim::Task<bool> Engine::ReplicateAndWait(mos::Process* self, mmem::SegmentId se
   AckWait w(this, AckRole::kReplicate, seg, req_id, op_deadline);
   w.epoch = epoch;
   ForEachSite(replicate_set, [&](mnet::SiteId s) { w.acks.Owe(s); });
+  const ReplicateBody replicate{seg, page, req_id, version, site(), epoch, data};
   // A local standby costs no wire traffic and acks immediately.
   if (mmem::MaskHas(replicate_set, site())) {
-    ReplicateBody b;
-    b.seg = seg;
-    b.page = page;
-    b.req_id = req_id;
-    b.version = version;
-    b.from = site();
-    b.epoch = epoch;
-    b.data = data;
-    ApplyReplicate(b);
+    ApplyReplicate(replicate);
     w.acks.Credit(site());
   }
   std::vector<mnet::SiteId> remote;
   ForEachSite(replicate_set & ~mmem::MaskOf(site()), [&](mnet::SiteId s) { remote.push_back(s); });
   for (mnet::SiteId s : remote) {
     ++stats_.replica_writes;
-    ReplicateBody b;
-    b.seg = seg;
-    b.page = page;
-    b.req_id = req_id;
-    b.version = version;
-    b.from = site();
-    b.epoch = epoch;
-    b.data = data;
-    co_await kernel_->Send(
-        self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kReplicate),
-                               kPageMsgBytes, std::move(b)));
+    co_await Send(self, s, replicate);
   }
   co_return co_await AwaitAcks(self, w) == AckWaitResult::kComplete;
 }
@@ -1579,7 +1438,7 @@ void Engine::OnSiteCrashed(mnet::SiteId crashed) {
         continue;
       }
       bool needs_recovery = false;
-      for (const PageDir& pd : dit->second->pages) {
+      for (const DirectoryView& pd : dit->second->pages) {
         if (!pd.lost && pd.mode != PageMode::kEmpty && pd.clock_site == crashed) {
           needs_recovery = true;
           break;
@@ -1594,27 +1453,9 @@ void Engine::OnSiteCrashed(mnet::SiteId crashed) {
         // Membership changed under the standby sets: queue a re-spread for
         // every page that just lost a standby, so the replica population is
         // rebuilt to k before a second crash can reach a quorum.
-        bool queued = false;
-        int page = 0;
-        for (const PageDir& pd : dit->second->pages) {
-          if (!pd.lost && pd.mode != PageMode::kEmpty &&
-              mmem::MaskHas(pd.replica_set, crashed)) {
-            Request r;
-            r.respread = true;
-            r.body.seg = meta.id;
-            r.body.page = page;
-            r.body.requester = site();
-            r.body.epoch = KnownEpoch(meta.id);
-            r.queued_at = kernel_->Now();
-            lib_queue_.push_back(std::move(r));
-            NoteLibEnqueue();
-            queued = true;
-          }
-          ++page;
-        }
-        if (queued) {
-          kernel_->Wakeup(lib_chan_);
-        }
+        QueueRespreads(meta.id, KnownEpoch(meta.id), [crashed](const DirectoryView& pd) {
+          return mmem::MaskHas(pd.replica_set, crashed);
+        });
       }
     }
   }
@@ -1667,15 +1508,11 @@ msim::Task<> Engine::RejoinMain(mos::Process* self) {
       // epoch that fences everything from before the crash.
       StartRecovery(meta.id, /*elected=*/true);
     } else if (kernel_->net()->SiteUp(meta.library_site)) {
-      RejoinAnnounceBody b{meta.id, site(), meta.epoch};
       Trace("rejoin", [&] {
         return "announce rejoin for seg " + std::to_string(meta.id) + " to library " +
                std::to_string(meta.library_site);
       });
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), meta.library_site,
-                                 static_cast<std::uint32_t>(MsgKind::kRejoinAnnounce),
-                                 kShortMsgBytes, b));
+      co_await Send(self, meta.library_site, RejoinAnnounceBody{meta.id, site(), meta.epoch});
     }
     // A down library with no successor is noticed later by the request
     // timeout path (MaybeElect), exactly like a crash this site never saw.
@@ -1774,7 +1611,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
   // crash): per-page Delta tuning, which pages were never granted, and
   // which were already lost. After an election there is no old directory —
   // it died with the library site.
-  std::vector<PageDir> old_pages;
+  std::vector<DirectoryView> old_pages;
   bool had_dir = false;
   if (auto dit = dirs_.find(seg); dit != dirs_.end()) {
     old_pages = dit->second->pages;
@@ -1801,11 +1638,9 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
       w.acks.Owe(s);
       peers.push_back(s);
     });
+    const RecoveryQueryBody query{seg, epoch, site()};
     for (mnet::SiteId s : peers) {
-      RecoveryQueryBody q{seg, epoch, site()};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(site(), s, static_cast<std::uint32_t>(MsgKind::kRecoveryQuery),
-                                 kShortMsgBytes, q));
+      co_await Send(self, s, query);
     }
     (void)co_await AwaitAcks(self, w);  // no deadline: ends once every peer replied or is gone
   }
@@ -1835,7 +1670,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
   };
   std::vector<Promotion> promotions;
   for (int p = 0; p < page_count; ++p) {
-    PageDir& pd = dir->pages[p];
+    DirectoryView& pd = dir->pages[p];
     pd.window_us = had_dir ? old_pages[p].window_us : opts_.default_window_us;
     mnet::SiteId writer = mnet::kNoSite;
     mmem::SiteMask readers = 0;
@@ -1951,10 +1786,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
         ApplyPromoteReplica(b);
         w.acks.Credit(site());
       } else {
-        co_await kernel_->Send(
-            self, mnet::MakePacket(site(), pr.at,
-                                   static_cast<std::uint32_t>(MsgKind::kPromoteReplica),
-                                   kShortMsgBytes, b));
+        co_await Send(self, pr.at, b);
       }
     }
     (void)co_await AwaitAcks(self, w);
@@ -1968,26 +1800,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
   // Membership changed (that is why we are here): refresh every surviving
   // page's standby set back to k before the next crash can reach a quorum.
   if (opts_.replicas >= 2) {
-    auto dit = dirs_.find(seg);
-    bool queued = false;
-    for (int p = 0; p < page_count; ++p) {
-      const PageDir& pd = dit->second->pages[p];
-      if (!pd.lost && pd.mode != PageMode::kEmpty) {
-        Request r;
-        r.respread = true;
-        r.body.seg = seg;
-        r.body.page = p;
-        r.body.requester = site();
-        r.body.epoch = epoch;
-        r.queued_at = kernel_->Now();
-        lib_queue_.push_back(std::move(r));
-        NoteLibEnqueue();
-        queued = true;
-      }
-    }
-    if (queued) {
-      kernel_->Wakeup(lib_chan_);
-    }
+    QueueRespreads(seg, epoch, [](const DirectoryView&) { return true; });
   }
 
   Trace("recovery", [&] {
@@ -2060,11 +1873,9 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
       w.acks.Owe(s);
       sites.push_back(s);
     });
+    const InvalidatePageBody invalidate{op.seg, op.page, op.req_id, me, op.epoch};
     for (mnet::SiteId s : sites) {
-      InvalidatePageBody b{op.seg, op.page, op.req_id, me, op.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(me, s, static_cast<std::uint32_t>(MsgKind::kInvalidatePage),
-                                 kShortMsgBytes, b));
+      co_await Send(self, s, invalidate);
     }
     // Seeded bug (mutation smoke): fire the invalidates but proceed to the
     // grant without waiting for acknowledgements — a window where stale
@@ -2089,7 +1900,6 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
     co_return false;
   }
   mmem::PageBytes data;
-  bool send_data = true;
   bool writable_grant = false;
   switch (op.action) {
     case ClockAction::kSendCopy:
@@ -2103,7 +1913,6 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
       writable_grant = true;
       break;
     case ClockAction::kUpgradeWriter:
-      send_data = false;
       writable_grant = true;
       if (!mmem::MaskHas(op.targets, me)) {
         img.InvalidatePage(op.page);
@@ -2131,7 +1940,6 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
       // commits a writer's outstanding stores) and distribute nothing — the
       // replication step below is the whole operation.
       data = img.CopyPage(op.page);
-      send_data = false;
       break;
   }
 
@@ -2152,57 +1960,40 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
   }
   if (op.action == ClockAction::kReplicateOnly) {
     // No new holders; tell the library the re-spread committed.
-    co_await AckInstall(self, op.seg, op.page, op.req_id, op.library_site, op.epoch);
+    co_await AckInstall(self, op);
     co_return true;
   }
 
-  // 3. Distribute the page (or the upgrade notification) to the new holders.
+  // 3. Distribute the page, or with optimization 1 the upgrade notification,
+  //    to the new holders. The clock site itself may be one: the in-place
+  //    upgrade.
+  const bool upgrade = op.action == ClockAction::kUpgradeWriter;
+  const UpgradeGrantBody grant{op.seg, op.page, op.req_id, op.new_window_us, op.library_site,
+                               op.epoch};
+  PageInstallBody install{.seg = op.seg,
+                          .page = op.page,
+                          .req_id = op.req_id,
+                          .writable = writable_grant,
+                          .window_us = op.new_window_us,
+                          .library_site = op.library_site,
+                          .resulting_readers = op.resulting_readers,
+                          .epoch = op.epoch,
+                          .data = std::move(data)};
   std::vector<mnet::SiteId> targets;
   ForEachSite(op.targets, [&](mnet::SiteId s) { targets.push_back(s); });
   for (mnet::SiteId s : targets) {
+    install.writer_site = writable_grant ? s : mnet::kNoSite;
     if (s == me) {
-      // The clock site itself is the new holder: this is the in-place
-      // upgrade of optimization 1.
-      if (op.action == ClockAction::kUpgradeWriter) {
-        UpgradeGrantBody b{op.seg, op.page, op.req_id, op.new_window_us, op.library_site,
-                         op.epoch};
-        ApplyUpgrade(b);
+      if (upgrade) {
+        ApplyUpgrade(grant);
       } else {
-        PageInstallBody b;
-        b.seg = op.seg;
-        b.page = op.page;
-        b.req_id = op.req_id;
-        b.writable = writable_grant;
-        b.window_us = op.new_window_us;
-        b.library_site = op.library_site;
-        b.resulting_readers = op.resulting_readers;
-        b.writer_site = writable_grant ? s : mnet::kNoSite;
-        b.epoch = op.epoch;
-        b.data = data;
-        ApplyInstall(b);
+        ApplyInstall(install);
       }
-      co_await AckInstall(self, op.seg, op.page, op.req_id, op.library_site, op.epoch);
-    } else if (send_data) {
-      PageInstallBody b;
-      b.seg = op.seg;
-      b.page = op.page;
-      b.req_id = op.req_id;
-      b.writable = writable_grant;
-      b.window_us = op.new_window_us;
-      b.library_site = op.library_site;
-      b.resulting_readers = op.resulting_readers;
-      b.writer_site = writable_grant ? s : mnet::kNoSite;
-      b.epoch = op.epoch;
-      b.data = data;
-      co_await kernel_->Send(
-          self, mnet::MakePacket(me, s, static_cast<std::uint32_t>(MsgKind::kPageInstall),
-                                 kPageMsgBytes, std::move(b)));
+      co_await AckInstall(self, op);
+    } else if (upgrade) {
+      co_await Send(self, s, grant);
     } else {
-      UpgradeGrantBody b{op.seg, op.page, op.req_id, op.new_window_us, op.library_site,
-                         op.epoch};
-      co_await kernel_->Send(
-          self, mnet::MakePacket(me, s, static_cast<std::uint32_t>(MsgKind::kUpgradeGrant),
-                                 kShortMsgBytes, b));
+      co_await Send(self, s, install);
     }
   }
   co_return true;
@@ -2210,13 +2001,22 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
 
 // ---------------------------------------------------------------- helpers --
 
-msim::Duration Engine::LocalWindowRemaining(mmem::SegmentId seg, mmem::PageNum page) const {
-  auto it = images_.find(seg);
+msim::Duration Engine::WindowLeft(const ClockOpBody& op) const {
+  if (!op.clock_check) {
+    return 0;
+  }
+  auto it = images_.find(op.seg);
   if (it == images_.end()) {
     return 0;
   }
-  const mmem::AuxPte& aux = it->second->aux(page);
-  return aux.install_time + aux.window_us - kernel_->Now();
+  const mmem::AuxPte& aux = it->second->aux(op.page);
+  const msim::Duration remaining = aux.install_time + aux.window_us - kernel_->Now();
+  // With honor_small_remaining (§7.1 caveat 1), a remainder shorter than an
+  // invalidation retry would cost is honored at once.
+  const bool honor = remaining <= 0 ||
+                     (opts_.honor_small_remaining &&
+                      remaining <= kernel_->costs().invalidation_retry_threshold_us);
+  return honor ? 0 : remaining;
 }
 
 mmem::SegmentImage& Engine::ImageRef(mmem::SegmentId seg) {
@@ -2243,7 +2043,7 @@ void Engine::SetSegmentWindow(mmem::SegmentId seg, msim::Duration window_us) {
   if (it == dirs_.end()) {
     throw std::logic_error("mirage: SetSegmentWindow at a non-library site");
   }
-  for (PageDir& pd : it->second->pages) {
+  for (DirectoryView& pd : it->second->pages) {
     pd.window_us = window_us;
   }
 }
@@ -2274,17 +2074,7 @@ std::optional<DirectoryView> Engine::Directory(mmem::SegmentId seg, mmem::PageNu
   if (it == dirs_.end()) {
     return std::nullopt;
   }
-  const PageDir& pd = it->second->pages.at(page);
-  DirectoryView v;
-  v.mode = pd.mode;
-  v.readers = pd.readers;
-  v.writer = pd.writer;
-  v.clock_site = pd.clock_site;
-  v.window_us = pd.window_us;
-  v.lost = pd.lost;
-  v.version = pd.version;
-  v.replica_set = pd.replica_set;
-  return v;
+  return it->second->pages.at(page);
 }
 
 bool Engine::TestOnlySetDirectory(mmem::SegmentId seg, mmem::PageNum page,
@@ -2293,15 +2083,7 @@ bool Engine::TestOnlySetDirectory(mmem::SegmentId seg, mmem::PageNum page,
   if (it == dirs_.end() || static_cast<std::size_t>(page) >= it->second->pages.size()) {
     return false;
   }
-  PageDir& pd = it->second->pages[page];
-  pd.mode = v.mode;
-  pd.readers = v.readers;
-  pd.writer = v.writer;
-  pd.clock_site = v.clock_site;
-  pd.window_us = v.window_us;
-  pd.lost = v.lost;
-  pd.version = v.version;
-  pd.replica_set = v.replica_set;
+  it->second->pages[page] = v;
   return true;
 }
 

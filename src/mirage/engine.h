@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "src/mem/address_space.h"
 #include "src/mem/backend.h"
@@ -103,15 +104,22 @@ enum class PageMode { kEmpty, kReaders, kWriter };
 
 const char* PageModeName(PageMode m);
 
-// Snapshot of one page's directory entry, for tests and benches.
+// One page's directory entry at its library site. Engine::Directory hands
+// out copies for tests and benches.
 struct DirectoryView {
   PageMode mode = PageMode::kEmpty;
   mmem::SiteMask readers = 0;
   mnet::SiteId writer = mnet::kNoSite;
   mnet::SiteId clock_site = mnet::kNoSite;
   msim::Duration window_us = 0;
-  bool lost = false;  // an operation on this page failed; no further grants
-  // Replication (replicas >= 2): committed version and standby holder set.
+  // Set when an operation on this page fails permanently (its clock site
+  // — the only holder of the current contents — crashed, or the op
+  // deadline expired). A lost page is never granted again: the library
+  // answers every subsequent request with kRequestFailed.
+  bool lost = false;
+  // Replication (replicas >= 2): version of the last committed contents
+  // and the sites holding a standby copy of that version. version 0 =
+  // nothing committed yet (page never granted).
   std::uint64_t version = 0;
   mmem::SiteMask replica_set = 0;
 };
@@ -204,25 +212,8 @@ class Engine : public mmem::DsmBackend {
                              std::uint32_t epoch);
 
  private:
-  struct PageDir {
-    PageMode mode = PageMode::kEmpty;
-    mmem::SiteMask readers = 0;
-    mnet::SiteId writer = mnet::kNoSite;
-    mnet::SiteId clock_site = mnet::kNoSite;
-    msim::Duration window_us = 0;
-    // Set when an operation on this page fails permanently (its clock site
-    // — the only holder of the current contents — crashed, or the op
-    // deadline expired). A lost page is never granted again: the library
-    // answers every subsequent request with kRequestFailed.
-    bool lost = false;
-    // Replication (replicas >= 2): version of the last committed contents
-    // and the sites holding a standby copy of that version. version 0 =
-    // nothing committed yet (page never granted).
-    std::uint64_t version = 0;
-    mmem::SiteMask replica_set = 0;
-  };
   struct SegDir {
-    std::vector<PageDir> pages;
+    std::vector<DirectoryView> pages;
   };
   // Per-page local wait state for faulting processes.
   struct PageWait {
@@ -304,6 +295,22 @@ class Engine : public mmem::DsmBackend {
   msim::Task<> RejoinMain(mos::Process* self);
   msim::Task<> HandlePacket(mos::Process* self, mnet::Packet pkt);
 
+  // Sends `body` to site `to`. Its kind and wire size come from the body
+  // type (protocol.h); the send charges the transmit time to `self`.
+  template <typename Body>
+  msim::Task<> Send(mos::Process* self, mnet::SiteId to, Body body) {
+    return kernel_->Send(self, mnet::MakePacket(site(), to, static_cast<std::uint32_t>(Body::kKind),
+                                                kWireBytes<Body>, std::move(body)));
+  }
+  // The receive side of Send: decodes `pkt` as a Body, throwing
+  // std::logic_error when the packet is of another kind.
+  template <typename Body>
+  static const Body& Decode(const mnet::Packet& pkt);
+  // Decode plus the epoch fence: null when the message predates this site's
+  // epoch for its segment (StaleEpoch drops and counts it).
+  template <typename Body>
+  const Body* Fenced(const mnet::Packet& pkt);
+
   // The failure deadline of an op starting now (0 = none), from
   // ProtocolOptions::op_timeout_us.
   msim::Time OpDeadline() const {
@@ -315,7 +322,7 @@ class Engine : public mmem::DsmBackend {
   // waiting requesters (the failure model's consistency-over-availability
   // choice: never grant a page whose freshest copy may be unreachable).
   msim::Task<> ProcessRequest(mos::Process* self, Request req);
-  msim::Task<bool> GrantFromEmpty(mos::Process* self, PageDir& pd, const Request& req,
+  msim::Task<bool> GrantFromEmpty(mos::Process* self, DirectoryView& pd, const Request& req,
                                   mmem::SiteMask batch, std::uint64_t req_id,
                                   msim::Duration window_us, msim::Time op_deadline);
   msim::Task<bool> IssueClockOp(mos::Process* self, mnet::SiteId clock_site, ClockOpBody op,
@@ -333,10 +340,11 @@ class Engine : public mmem::DsmBackend {
   // its waiter. Returns the wait, or nullptr when none is registered.
   AckWait* CreditAck(AckRole role, mmem::SegmentId seg, std::uint64_t id, mnet::SiteId from);
   AckWait* FindAckWait(AckRole role, mmem::SegmentId seg, std::uint64_t id);
-  // Acks an install, upgrade, promotion or re-spread to the library: a local
-  // credit when the library is this site, a kInstallAck otherwise.
-  msim::Task<> AckInstall(mos::Process* self, mmem::SegmentId seg, mmem::PageNum page,
-                          std::uint64_t req_id, mnet::SiteId library_site, std::uint32_t epoch);
+  // Acks an install, upgrade, promotion or re-spread (`grant` names the
+  // page, request, library and epoch) to the library: a local credit when
+  // the library is this site, a kInstallAck otherwise.
+  template <typename Grant>
+  msim::Task<> AckInstall(mos::Process* self, const Grant& grant);
   // Unregisters every ack wait on reboot or teardown: their coroutines never
   // run again, and their frames may be destroyed after acks_ is gone.
   void DetachAckWaits();
@@ -390,7 +398,9 @@ class Engine : public mmem::DsmBackend {
   bool SegmentQuiescent(mmem::SegmentId seg) const;
   void MaybeReap(mmem::SegmentId seg);
   void ReallyDrop(mmem::SegmentId seg);
-  msim::Duration LocalWindowRemaining(mmem::SegmentId seg, mmem::PageNum page) const;
+  // The clock check (§6.1): how much of the page's window Delta must still
+  // run before this clock site honors `op`, or 0 when it may run now.
+  msim::Duration WindowLeft(const ClockOpBody& op) const;
   mmem::SegmentImage& ImageRef(mmem::SegmentId seg);
   PageWait& WaitFor(mmem::SegmentId seg, mmem::PageNum page);
   // Records a protocol trace event. `detail` returns its text and is called
@@ -409,20 +419,26 @@ class Engine : public mmem::DsmBackend {
 
   // Per-segment tables are FlatMaps (sorted vectors): the population is a
   // handful of segments, and these are consulted on every fault and message.
-  // SegDir lives behind a unique_ptr so PageDir references held across
+  // SegDir lives behind a unique_ptr so directory entry references held across
   // coroutine suspensions stay valid when the table grows.
   msim::FlatMap<mmem::SegmentId, std::unique_ptr<mmem::SegmentImage>> images_;
   msim::FlatMap<mmem::SegmentId, std::unique_ptr<SegDir>> dirs_;
   msim::FlatMap<std::uint64_t, std::unique_ptr<PageWait>> waits_;
 
-  // Call immediately after every lib_queue_.push_back so the load counters
-  // (lib_enqueues / peak / depth_sum) see each arrival exactly once.
-  void NoteLibEnqueue() {
+  // Appends to the library queue and feeds the load counters
+  // (lib_enqueues / peak / depth_sum), so each arrival is seen exactly once.
+  void PushLibRequest(Request r) {
+    lib_queue_.push_back(std::move(r));
     ++stats_.lib_enqueues;
     const std::uint64_t depth = lib_queue_.size();
     stats_.lib_queue_depth_sum += depth;
     if (depth > stats_.lib_queue_peak) stats_.lib_queue_peak = depth;
   }
+  // Queues a membership-change re-spread, stamped `epoch`, for every granted
+  // page of `seg` that is not lost and that `needs` picks, and wakes the
+  // library if it queued any.
+  template <typename Pred>
+  void QueueRespreads(mmem::SegmentId seg, std::uint32_t epoch, Pred needs);
 
   std::deque<Request> lib_queue_;
   mos::Channel lib_chan_;

@@ -66,12 +66,19 @@ enum class MsgKind : std::uint32_t {
 
 const char* MsgKindName(MsgKind k);
 
-// Wire size of a protocol header: anything without page data is a "short"
-// message in the paper's cost model.
+// Each message body below names its MsgKind (Body::kKind), and its wire
+// size follows from whether it carries page data: a body with a `data` page
+// costs kPageMsgBytes, any other is a "short" message in the paper's cost
+// model. Engine::Send and the engine's receive path read both from the body
+// type, so no call site restates them.
 inline constexpr std::uint32_t kShortMsgBytes = 64;
 inline constexpr std::uint32_t kPageMsgBytes = 64 + mmem::kPageSize;
+template <typename Body>
+inline constexpr std::uint32_t kWireBytes =
+    requires(const Body& b) { b.data; } ? kPageMsgBytes : kShortMsgBytes;
 
 struct PageRequestBody {
+  static constexpr MsgKind kKind = MsgKind::kPageRequest;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   bool write = false;
@@ -106,6 +113,7 @@ enum class ClockAction : std::uint32_t {
 const char* ClockActionName(ClockAction a);
 
 struct ClockOpBody {
+  static constexpr MsgKind kKind = MsgKind::kClockOp;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -131,6 +139,7 @@ struct ClockOpBody {
 };
 
 struct WaitReplyBody {
+  static constexpr MsgKind kKind = MsgKind::kWaitReply;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -139,6 +148,7 @@ struct WaitReplyBody {
 };
 
 struct InvalidatePageBody {
+  static constexpr MsgKind kKind = MsgKind::kInvalidatePage;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -147,6 +157,7 @@ struct InvalidatePageBody {
 };
 
 struct InvalidateAckBody {
+  static constexpr MsgKind kKind = MsgKind::kInvalidateAck;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -155,6 +166,7 @@ struct InvalidateAckBody {
 };
 
 struct PageInstallBody {
+  static constexpr MsgKind kKind = MsgKind::kPageInstall;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -169,6 +181,7 @@ struct PageInstallBody {
 };
 
 struct UpgradeGrantBody {
+  static constexpr MsgKind kKind = MsgKind::kUpgradeGrant;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -178,6 +191,7 @@ struct UpgradeGrantBody {
 };
 
 struct InstallAckBody {
+  static constexpr MsgKind kKind = MsgKind::kInstallAck;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -186,6 +200,7 @@ struct InstallAckBody {
 };
 
 struct RequestFailedBody {
+  static constexpr MsgKind kKind = MsgKind::kRequestFailed;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -196,6 +211,7 @@ struct RequestFailedBody {
 // solicits copy-state from every surviving attached site and rebuilds the
 // page directory from the replies. Both messages carry the *new* epoch.
 struct RecoveryQueryBody {
+  static constexpr MsgKind kKind = MsgKind::kRecoveryQuery;
   mmem::SegmentId seg = -1;
   std::uint32_t epoch = 0;
   mnet::SiteId new_library = mnet::kNoSite;
@@ -214,6 +230,7 @@ struct PageCopyState {
 };
 
 struct RecoveryReplyBody {
+  static constexpr MsgKind kKind = MsgKind::kRecoveryReply;
   mmem::SegmentId seg = -1;
   std::uint32_t epoch = 0;
   mnet::SiteId from = mnet::kNoSite;
@@ -223,6 +240,7 @@ struct RecoveryReplyBody {
 // Replication: carries the committed page bytes to a replica site. Carries
 // page data, so it costs kPageMsgBytes on the wire.
 struct ReplicateBody {
+  static constexpr MsgKind kKind = MsgKind::kReplicate;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -233,6 +251,7 @@ struct ReplicateBody {
 };
 
 struct ReplicateAckBody {
+  static constexpr MsgKind kKind = MsgKind::kReplicateAck;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -244,6 +263,7 @@ struct ReplicateAckBody {
 // Recovery: the rebuilding library instructs a replica holder to install its
 // standby copy as a live read-only primary. Acknowledged with kInstallAck.
 struct PromoteReplicaBody {
+  static constexpr MsgKind kKind = MsgKind::kPromoteReplica;
   mmem::SegmentId seg = -1;
   mmem::PageNum page = 0;
   std::uint64_t req_id = 0;
@@ -257,6 +277,7 @@ struct PromoteReplicaBody {
 // segment it was attached to before the crash. Carries the registry epoch
 // the rejoiner read, so a library that has since moved on fences it.
 struct RejoinAnnounceBody {
+  static constexpr MsgKind kKind = MsgKind::kRejoinAnnounce;
   mmem::SegmentId seg = -1;
   mnet::SiteId from = mnet::kNoSite;
   std::uint32_t epoch = 0;
@@ -265,6 +286,7 @@ struct RejoinAnnounceBody {
 // The library's re-admission answer. The epoch is the fence: the rejoiner
 // adopts it and is thereby barred from acting on anything older.
 struct RejoinWelcomeBody {
+  static constexpr MsgKind kKind = MsgKind::kRejoinWelcome;
   mmem::SegmentId seg = -1;
   std::uint32_t epoch = 0;
   mnet::SiteId library_site = mnet::kNoSite;
@@ -328,10 +350,9 @@ struct ProtocolOptions {
   // concurrently (ordering is still strict per page). The paper's library
   // processes its queue strictly sequentially, which serializes independent
   // pages behind one another — visible in multi-page workloads like the Li
-  // suite. Off by default for fidelity.
+  // suite. Off by default for fidelity. On, the library runs four service
+  // processes.
   bool parallel_page_ops = false;
-  // Library service processes when parallel_page_ops is on.
-  int library_concurrency = 4;
 
   // ---- Failure model (DESIGN.md): all default 0 = disabled, i.e. the
   // paper's wait-forever behavior on a live network. Enable for runs with a

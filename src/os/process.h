@@ -52,8 +52,8 @@ enum class PendingOp {
 struct Process;
 
 // A UNIX-style sleep channel: processes block on it, Wakeup makes them ready.
-// Unlike msim::WaitQueue this routes wakeups through the scheduler, so a
-// woken process waits its turn for the CPU.
+// Wakeups go through the scheduler, so a woken process waits its turn for
+// the CPU.
 class Channel {
  public:
   Channel() = default;

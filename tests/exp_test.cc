@@ -72,7 +72,7 @@ TEST(ExperimentSpec, JsonRoundTripPreservesGridAndSeed) {
   mexp::ExperimentSpec spec;
   spec.name = "roundtrip";
   spec.workload = "scalability";
-  spec.sites = {2, 6, 12};
+  spec.sites = {3, 6, 12};  // the fault plan below names site 2
   spec.delta_ms = {0, 50};
   spec.loss = {0.0, 0.02};
   spec.repetitions = 2;
@@ -149,6 +149,37 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
          mexp::FaultPlanSpec fp;
          fp.plan.RecoverAt(5 * msim::kMillisecond, 1);  // never crashed
          s->fault_plans = {fp};
+       }},
+      // Sites a fault plan names must exist at every point: the default
+      // sites axis is {2}.
+      {R"({"fault_plans": [{"name": "p",)"
+       R"( "events": [{"kind": "crash", "at_ms": 50, "site": 7}]}]})",
+       [](mexp::ExperimentSpec* s) {
+         mexp::FaultPlanSpec fp;
+         fp.plan.CrashAt(50 * msim::kMillisecond, 7);
+         s->fault_plans = {fp};
+       }},
+      {R"({"fault_plans": [{"name": "p",)"
+       R"( "events": [{"kind": "crash", "at_ms": 50, "site": -1}]}]})",
+       [](mexp::ExperimentSpec* s) {
+         mexp::FaultPlanSpec fp;
+         fp.plan.CrashAt(50 * msim::kMillisecond, -1);
+         s->fault_plans = {fp};
+       }},
+      {R"({"sites": [4, 2], "fault_plans": [{"name": "p", "events":)"
+       R"( [{"kind": "cut", "at_ms": 5, "site": 0, "peer": 3}]}]})",
+       [](mexp::ExperimentSpec* s) {
+         s->sites = {4, 2};
+         mexp::FaultPlanSpec fp;
+         fp.plan.PartitionAt(5 * msim::kMillisecond, 0, 3);
+         s->fault_plans = {fp};
+       }},
+      {R"({"library_site": 9})", [](mexp::ExperimentSpec* s) { s->library_site = 9; }},
+      {R"({"library_site": -1})", [](mexp::ExperimentSpec* s) { s->library_site = -1; }},
+      {R"({"sites": [4, 2], "library_site": 3})",
+       [](mexp::ExperimentSpec* s) {
+         s->sites = {4, 2};
+         s->library_site = 3;
        }},
   };
   std::string error;

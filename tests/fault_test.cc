@@ -582,30 +582,59 @@ TEST_F(FaultTest, RecoverAtTargetingLiveSiteThrows) {
   FaultPlan no_crash;
   no_crash.RecoverAt(100 * kMillisecond, 1);
   std::string err;
-  EXPECT_FALSE(no_crash.Validate(&err));
+  EXPECT_FALSE(no_crash.Validate(2, &err));
   EXPECT_NE(err.find("not crashed"), std::string::npos) << err;
 
   FaultPlan too_early;  // the recover fires before the crash does
   too_early.RecoverAt(50 * kMillisecond, 1).CrashAt(100 * kMillisecond, 1);
-  EXPECT_FALSE(too_early.Validate(&err));
+  EXPECT_FALSE(too_early.Validate(2, &err));
 
   FaultPlan double_recover;
   double_recover.CrashAt(50 * kMillisecond, 1)
       .RecoverAt(100 * kMillisecond, 1)
       .RecoverAt(200 * kMillisecond, 1);
-  EXPECT_FALSE(double_recover.Validate(&err));
+  EXPECT_FALSE(double_recover.Validate(2, &err));
 
   FaultPlan cycle;  // crash → recover → crash → recover is legal
   cycle.CrashAt(50 * kMillisecond, 1)
       .RecoverAt(100 * kMillisecond, 1)
       .CrashAt(200 * kMillisecond, 1)
       .RecoverAt(300 * kMillisecond, 1);
-  EXPECT_TRUE(cycle.Validate(&err)) << err;
+  EXPECT_TRUE(cycle.Validate(2, &err)) << err;
 
   WorldOptions opts;
   EnableRecovery(opts);
   opts.faults.RecoverAt(100 * kMillisecond, 1);
   EXPECT_THROW(World(2, std::move(opts)), std::invalid_argument);
+}
+
+// A fault plan that names a site the world does not have — as the target of
+// any site event or as either end of a cut or heal — is rejected up front
+// too, by Validate and by the world boot.
+TEST_F(FaultTest, PlanNamingAMissingSiteThrows) {
+  const msim::Time t = 50 * kMillisecond;
+  std::vector<FaultPlan> bad(6);
+  bad[0].CrashAt(t, 7);
+  bad[1].CrashAt(t, -1);
+  bad[2].PauseAt(t, 3).ResumeAt(2 * t, 3);
+  bad[3].CrashAt(t, 3).RecoverAt(2 * t, 3);
+  bad[4].PartitionAt(t, 0, 3);
+  bad[5].PartitionAt(t, 0, 2).HealAt(2 * t, 3, 0);
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    std::string err;
+    EXPECT_FALSE(bad[i].Validate(3, &err)) << "plan " << i;
+    EXPECT_NE(err.find("names site"), std::string::npos) << "plan " << i << ": " << err;
+    WorldOptions opts;
+    EnableRecovery(opts);
+    opts.faults = bad[i];
+    EXPECT_THROW(World(3, std::move(opts)), std::invalid_argument) << "plan " << i;
+  }
+
+  FaultPlan edges;  // sites 0 and 2 are the ends of a 3-site world
+  edges.CrashAt(t, 2).RecoverAt(2 * t, 2).PartitionAt(t, 0, 2).HealAt(2 * t, 2, 0);
+  std::string err;
+  EXPECT_TRUE(edges.Validate(3, &err)) << err;
+  EXPECT_FALSE(edges.Validate(2, &err));
 }
 
 // Tentpole acceptance: k = 3 replication, a standby site crashes (degrading

@@ -60,6 +60,36 @@ struct ProtoTest : public ::testing::Test {
   }
 };
 
+template <typename Body>
+void ExpectMessage(mirage::MsgKind kind, std::uint32_t wire_bytes) {
+  EXPECT_EQ(Body::kKind, kind) << mirage::MsgKindName(kind);
+  EXPECT_EQ(mirage::kWireBytes<Body>, wire_bytes) << mirage::MsgKindName(kind);
+}
+
+// Each body names its kind, and only the bodies that carry a page cost one
+// on the wire.
+TEST(ProtocolMessages, KindAndWireSizeFollowFromTheBody) {
+  using mirage::MsgKind;
+  const std::uint32_t kShort = mirage::kShortMsgBytes;
+  const std::uint32_t kPage = mirage::kPageMsgBytes;
+  ExpectMessage<mirage::PageRequestBody>(MsgKind::kPageRequest, kShort);
+  ExpectMessage<mirage::ClockOpBody>(MsgKind::kClockOp, kShort);
+  ExpectMessage<mirage::WaitReplyBody>(MsgKind::kWaitReply, kShort);
+  ExpectMessage<mirage::InvalidatePageBody>(MsgKind::kInvalidatePage, kShort);
+  ExpectMessage<mirage::InvalidateAckBody>(MsgKind::kInvalidateAck, kShort);
+  ExpectMessage<mirage::PageInstallBody>(MsgKind::kPageInstall, kPage);
+  ExpectMessage<mirage::UpgradeGrantBody>(MsgKind::kUpgradeGrant, kShort);
+  ExpectMessage<mirage::InstallAckBody>(MsgKind::kInstallAck, kShort);
+  ExpectMessage<mirage::RequestFailedBody>(MsgKind::kRequestFailed, kShort);
+  ExpectMessage<mirage::RecoveryQueryBody>(MsgKind::kRecoveryQuery, kShort);
+  ExpectMessage<mirage::RecoveryReplyBody>(MsgKind::kRecoveryReply, kShort);
+  ExpectMessage<mirage::ReplicateBody>(MsgKind::kReplicate, kPage);
+  ExpectMessage<mirage::ReplicateAckBody>(MsgKind::kReplicateAck, kShort);
+  ExpectMessage<mirage::PromoteReplicaBody>(MsgKind::kPromoteReplica, kShort);
+  ExpectMessage<mirage::RejoinAnnounceBody>(MsgKind::kRejoinAnnounce, kShort);
+  ExpectMessage<mirage::RejoinWelcomeBody>(MsgKind::kRejoinWelcome, kShort);
+}
+
 TEST_F(ProtoTest, FirstReadChecksOutZeroPage) {
   Boot(2);
   Step(*w, 1, shmid, [](ShmSystem& shm, Process* p, mmem::VAddr a) -> Task<> {
@@ -102,21 +132,35 @@ TEST_F(ProtoTest, Table1Row1_ReadersReaders_NoClockCheckNoInvalidation) {
   EXPECT_EQ(img1->aux(0).reader_mask, mmem::MaskOf(1) | mmem::MaskOf(2));
 }
 
+// Second input: with optimization 1 off, the same request moves the page.
 TEST_F(ProtoTest, Table1Row2_UpgradeWhenWriterInReadSet) {
-  Boot(3);
-  Step(*w, 1, shmid, Read);
-  Step(*w, 2, shmid, Read);
-  std::uint64_t large_before = w->network().stats().large_packets;
-  Step(*w, 2, shmid, Write);
-  // Optimization 1: no page moved; a notification upgraded site 2.
-  EXPECT_EQ(w->network().stats().large_packets, large_before);
-  EXPECT_EQ(w->engine(2)->stats().upgrades_received, 1u);
-  // The other reader's copy is gone.
-  EXPECT_FALSE(w->engine(1)->ImageOrNull(shmid)->Present(0));
-  mirage::DirectoryView d = Dir();
-  EXPECT_EQ(d.mode, PageMode::kWriter);
-  EXPECT_EQ(d.writer, 2);
-  EXPECT_EQ(d.clock_site, 2);
+  for (bool optimization : {true, false}) {
+    SCOPED_TRACE(optimization ? "upgrade optimization on" : "upgrade optimization off");
+    mirage::ProtocolOptions proto;
+    proto.upgrade_optimization = optimization;
+    Boot(3, proto);
+    Step(*w, 1, shmid, Read);
+    Step(*w, 2, shmid, Read);
+    std::uint64_t large_before = w->network().stats().large_packets;
+    Step(*w, 2, shmid, Write);
+    if (optimization) {
+      // Optimization 1: no page moved; a notification upgraded site 2.
+      EXPECT_EQ(w->network().stats().large_packets, large_before);
+      EXPECT_EQ(w->engine(2)->stats().upgrades_received, 1u);
+    } else {
+      // Off: the page is transferred in full, as to a writer outside the
+      // read set.
+      EXPECT_EQ(w->network().stats().large_packets, large_before + 1);
+      EXPECT_EQ(w->engine(2)->stats().upgrades_received, 0u);
+    }
+    EXPECT_TRUE(w->engine(2)->ImageOrNull(shmid)->Writable(0));
+    // The other reader's copy is gone.
+    EXPECT_FALSE(w->engine(1)->ImageOrNull(shmid)->Present(0));
+    mirage::DirectoryView d = Dir();
+    EXPECT_EQ(d.mode, PageMode::kWriter);
+    EXPECT_EQ(d.writer, 2);
+    EXPECT_EQ(d.clock_site, 2);
+  }
 }
 
 TEST_F(ProtoTest, Table1Row2_FullTransferWhenWriterOutsideReadSet) {
@@ -130,25 +174,69 @@ TEST_F(ProtoTest, Table1Row2_FullTransferWhenWriterOutsideReadSet) {
   EXPECT_TRUE(w->engine(2)->ImageOrNull(shmid)->Writable(0));
 }
 
+// Second input: with optimization 2 off, the writer's copy is invalidated.
 TEST_F(ProtoTest, Table1Row3_DowngradeRetainsWriterCopy) {
-  Boot(3);
-  Step(*w, 1, shmid, [](ShmSystem& shm, Process* p, mmem::VAddr a) -> Task<> {
-    co_await shm.WriteWord(p, a, 1234);
-  });
-  Step(*w, 2, shmid, [](ShmSystem& shm, Process* p, mmem::VAddr a) -> Task<> {
-    EXPECT_EQ(co_await shm.ReadWord(p, a), 1234u);
-  });
-  // Optimization 2: the old writer keeps a read-only copy and stays clock
-  // site for the read set.
-  auto* img1 = w->engine(1)->ImageOrNull(shmid);
-  EXPECT_TRUE(img1->Present(0));
-  EXPECT_FALSE(img1->Writable(0));
-  EXPECT_EQ(w->engine(1)->stats().downgrades_performed, 1u);
+  for (bool optimization : {true, false}) {
+    SCOPED_TRACE(optimization ? "downgrade optimization on" : "downgrade optimization off");
+    mirage::ProtocolOptions proto;
+    proto.downgrade_optimization = optimization;
+    Boot(3, proto);
+    Step(*w, 1, shmid, [](ShmSystem& shm, Process* p, mmem::VAddr a) -> Task<> {
+      co_await shm.WriteWord(p, a, 1234);
+    });
+    Step(*w, 2, shmid, [](ShmSystem& shm, Process* p, mmem::VAddr a) -> Task<> {
+      EXPECT_EQ(co_await shm.ReadWord(p, a), 1234u);
+    });
+    auto* img1 = w->engine(1)->ImageOrNull(shmid);
+    mirage::DirectoryView d = Dir();
+    EXPECT_EQ(d.mode, PageMode::kReaders);
+    EXPECT_EQ(d.writer, mnet::kNoSite);
+    if (optimization) {
+      // Optimization 2: the old writer keeps a read-only copy and stays
+      // clock site for the read set.
+      EXPECT_TRUE(img1->Present(0));
+      EXPECT_FALSE(img1->Writable(0));
+      EXPECT_EQ(w->engine(1)->stats().downgrades_performed, 1u);
+      EXPECT_EQ(d.readers, mmem::MaskOf(1) | mmem::MaskOf(2));
+      EXPECT_EQ(d.clock_site, 1);
+    } else {
+      // Off: the old writer's copy is invalidated, and the clock moves to
+      // the lowest site of the read batch.
+      EXPECT_FALSE(img1->Present(0));
+      EXPECT_EQ(w->engine(1)->stats().downgrades_performed, 0u);
+      EXPECT_EQ(d.readers, mmem::MaskOf(2));
+      EXPECT_EQ(d.clock_site, 2);
+    }
+  }
+}
+
+// Writer -> Readers with optimization 2 off and a batch of two readers: the
+// clock moves to the batch's lowest site, not to the site whose request the
+// library took first.
+TEST_F(ProtoTest, Table1Row3_DowngradeOffMovesClockToLowestBatchedReader) {
+  mirage::ProtocolOptions proto;
+  proto.downgrade_optimization = false;
+  Boot(4, proto);
+  Step(*w, 1, shmid, Write);
+  int done = 0;
+  for (int site : {3, 2}) {
+    w->kernel(site).Spawn("reader", Priority::kUser, [this, site, &done](Process* p) -> Task<> {
+      auto& shm = w->shm(site);
+      mmem::VAddr base = shm.Shmat(p, shmid).value();
+      // Site 3 faults first; site 2's request reaches the library while the
+      // library is still working on site 3's, so the two are batched.
+      co_await w->kernel(site).SleepFor(p, site == 3 ? 0 : 1 * kMillisecond);
+      (void)co_await shm.ReadWord(p, base);
+      ++done;
+    });
+  }
+  ASSERT_TRUE(w->RunUntil([&] { return done == 2; }, 30 * kSecond));
+  EXPECT_EQ(w->engine(0)->stats().read_batches, 1u);
+  EXPECT_FALSE(w->engine(1)->ImageOrNull(shmid)->Present(0));
   mirage::DirectoryView d = Dir();
   EXPECT_EQ(d.mode, PageMode::kReaders);
-  EXPECT_EQ(d.readers, mmem::MaskOf(1) | mmem::MaskOf(2));
-  EXPECT_EQ(d.clock_site, 1);
-  EXPECT_EQ(d.writer, mnet::kNoSite);
+  EXPECT_EQ(d.readers, mmem::MaskOf(2) | mmem::MaskOf(3));
+  EXPECT_EQ(d.clock_site, 2);
 }
 
 TEST_F(ProtoTest, Table1Row4_WriterWriterTransfersAndInvalidates) {

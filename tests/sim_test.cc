@@ -1,8 +1,8 @@
 // Unit tests for the discrete-event simulator core: event ordering,
-// cancellation, serial run-ahead, coroutine tasks, and synchronization
-// primitives.
+// cancellation, serial run-ahead, and coroutine tasks.
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstddef>
 #include <map>
 #include <stdexcept>
@@ -14,7 +14,6 @@
 #include "src/os/kernel.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
-#include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 #include "src/sysv/world.h"
@@ -26,13 +25,10 @@
 namespace {
 
 using msim::Duration;
-using msim::Gate;
 using msim::Rng;
 using msim::Simulator;
-using msim::SleepFor;
 using msim::Task;
 using msim::Time;
-using msim::WaitQueue;
 
 TEST(Simulator, StartsAtTimeZero) {
   Simulator sim;
@@ -171,10 +167,22 @@ TEST(Task, RootExceptionStored) {
   EXPECT_THROW(t.CheckResult(), std::runtime_error);
 }
 
+// co_await Sleep{&sim, d}: resumes the coroutine from a simulator event d
+// microseconds of virtual time later.
+struct Sleep {
+  Simulator* sim;
+  Duration delay;
+  bool await_ready() const noexcept { return delay <= 0; }
+  void await_suspend(std::coroutine_handle<> h) {
+    sim->Schedule(delay, [h] { h.resume(); });
+  }
+  void await_resume() const noexcept {}
+};
+
 Task<> SleepTwice(Simulator& sim, std::vector<Time>* out) {
-  co_await SleepFor(sim, 100);
+  co_await Sleep{&sim, 100};
   out->push_back(sim.Now());
-  co_await SleepFor(sim, 50);
+  co_await Sleep{&sim, 50};
   out->push_back(sim.Now());
 }
 
@@ -186,66 +194,6 @@ TEST(Task, SleepAdvancesVirtualTime) {
   sim.Run();
   EXPECT_EQ(times, (std::vector<Time>{100, 150}));
   EXPECT_TRUE(t.Done());
-}
-
-Task<> Waiter(WaitQueue& q, int id, std::vector<int>* out) {
-  co_await q.Wait();
-  out->push_back(id);
-}
-
-TEST(WaitQueue, NotifyOneWakesInFifoOrder) {
-  Simulator sim;
-  WaitQueue q(&sim);
-  std::vector<int> out;
-  Task<> a = Waiter(q, 1, &out);
-  Task<> b = Waiter(q, 2, &out);
-  a.Start();
-  b.Start();
-  EXPECT_EQ(q.WaiterCount(), 2u);
-  q.NotifyOne();
-  sim.Run();
-  EXPECT_EQ(out, (std::vector<int>{1}));
-  q.NotifyAll();
-  sim.Run();
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-}
-
-TEST(WaitQueue, NotifyOnEmptyQueueReturnsFalse) {
-  Simulator sim;
-  WaitQueue q(&sim);
-  EXPECT_FALSE(q.NotifyOne());
-  EXPECT_EQ(q.NotifyAll(), 0);
-}
-
-Task<> GateWaiter(Gate& g, bool* done) {
-  co_await g.Wait();
-  *done = true;
-}
-
-TEST(Gate, WaitAfterOpenCompletesImmediately) {
-  Simulator sim;
-  Gate g(&sim);
-  g.Open();
-  bool done = false;
-  Task<> t = GateWaiter(g, &done);
-  t.Start();
-  EXPECT_TRUE(done);  // never suspended
-}
-
-TEST(Gate, OpenReleasesAllWaiters) {
-  Simulator sim;
-  Gate g(&sim);
-  bool d1 = false;
-  bool d2 = false;
-  Task<> t1 = GateWaiter(g, &d1);
-  Task<> t2 = GateWaiter(g, &d2);
-  t1.Start();
-  t2.Start();
-  EXPECT_FALSE(d1);
-  g.Open();
-  sim.Run();
-  EXPECT_TRUE(d1);
-  EXPECT_TRUE(d2);
 }
 
 TEST(Rng, DeterministicForSeed) {
