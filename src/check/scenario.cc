@@ -48,10 +48,6 @@ class Harness {
       }
     }
     checker_ = std::make_unique<mirage::InvariantChecker>(engines_);
-    if (world_->faults() != nullptr) {
-      mfault::FaultInjector* inj = world_->faults();
-      checker_->SetLiveness([inj](mnet::SiteId s) { return inj->SiteUp(s); });
-    }
     if (so.controller != nullptr) {
       so.controller->SetAfterEvent([this](msim::Time) { SamplePhysical(); });
       world_->sim().SetController(so.controller, so.eps_us);

@@ -139,7 +139,7 @@ Json ReportToJson(const ExperimentReport& report) {
 
 void WriteCsv(const ExperimentReport& report, std::ostream& os) {
   os << "point,workload,sites,delta_ms,quantum_ticks,segment_bytes,loss,replicas,zipf_s,"
-        "get_mix,kv_replicas,fault_plan,metric,n,mean,min,max,stddev,ci95\n";
+        "get_mix,kv_replicas,cost,fault_plan,metric,n,mean,min,max,stddev,ci95\n";
   int index = 0;
   for (const PointResult& pt : report.points) {
     const RunConfig& p = pt.params;
@@ -150,7 +150,8 @@ void WriteCsv(const ExperimentReport& report, std::ostream& os) {
                          Json::NumberToString(p.loss) + "," + std::to_string(p.replicas) +
                          "," + Json::NumberToString(p.zipf_s) + "," +
                          Json::NumberToString(p.get_mix) + "," +
-                         std::to_string(p.kv_replicas) + "," + p.fault_plan + ",";
+                         std::to_string(p.kv_replicas) + "," + p.cost_preset + "," +
+                         p.fault_plan + ",";
     for (const auto& [name, acc] : pt.metrics) {
       os << prefix << name << "," << acc.count() << "," << Json::NumberToString(acc.Mean())
          << "," << Json::NumberToString(acc.Min()) << "," << Json::NumberToString(acc.Max())
@@ -270,9 +271,6 @@ void PrintRunReport(msysv::World& world, const RunConfig& cfg, const RunResult& 
     }
     world.RunFor(2 * msim::kSecond);  // quiesce
     mirage::InvariantChecker checker(engines);
-    if (mfault::FaultInjector* inj = world.faults()) {
-      checker.SetLiveness([inj](mnet::SiteId s) { return inj->SiteUp(s); });
-    }
     const mirage::InvariantReport inv = checker.CheckFull(world.registry());
     os << "\ninvariants: " << (inv.ok() ? "OK" : "VIOLATED") << " (" << inv.pages_checked
        << " pages checked)\n";

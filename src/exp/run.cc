@@ -149,7 +149,6 @@ void CollectCommon(msysv::World& world, RunResult* out) {
       // k-standby coverage and the coherence/directory invariants must hold
       // at quiescence. Violations gate the run like any other regression.
       mirage::InvariantChecker checker(engines);
-      checker.SetLiveness([inj](mnet::SiteId s) { return inj->SiteUp(s); });
       const mirage::InvariantReport full = checker.CheckFull(world.registry());
       const mirage::InvariantReport cov = checker.CheckReplicaCoverage(world.registry());
       out->metrics["rejoin_invariant_violations"] =

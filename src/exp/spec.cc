@@ -381,6 +381,11 @@ bool ExperimentSpec::Validate(std::string* error) const {
       return fail("unknown cost preset '" + cp + "' (ethernet1989, rdma)");
     }
   }
+  for (double l : loss) {
+    if (l < 0.0 || l > 1.0) {
+      return fail("loss values must be in [0, 1]");
+    }
+  }
   for (int k : replicas) {
     if (k < 1 || k > 12) {
       return fail("replicas values must be in 1..12");

@@ -158,8 +158,9 @@ struct ExperimentSpec {
 
   // The range checks every spec passes before it runs, whether it came
   // from a JSON file or from CLI flags: a known workload, non-empty axes,
-  // sites in 1..512, replicas and kv_replicas in 1..12, get_mix in [0, 1],
-  // zipf_s >= 0, known cost presets and self-consistent fault plans.
+  // sites in 1..512, loss and get_mix in [0, 1], replicas and kv_replicas
+  // in 1..12, zipf_s >= 0, known cost presets and self-consistent fault
+  // plans.
   // Returns false and sets *error on the first violation.
   bool Validate(std::string* error) const;
 

@@ -44,26 +44,16 @@ bool FaultPlan::Validate(int site_count, std::string* error) const {
   std::vector<FaultEvent> ordered = events_;
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const FaultEvent& a, const FaultEvent& b) { return a.at_us < b.at_us; });
-  std::set<mnet::SiteId> down;
+  mnet::Liveness live;
   for (const FaultEvent& ev : ordered) {
-    switch (ev.kind) {
-      case FaultKind::kCrashSite:
-        down.insert(ev.site);
-        break;
-      case FaultKind::kRecoverSite:
-        if (down.erase(ev.site) == 0) {
-          if (error != nullptr) {
-            *error = "RecoverAt(" + std::to_string(ev.at_us) + "us, site " +
-                     std::to_string(ev.site) + ") targets a site that is not crashed at that time";
-          }
-          return false;
-        }
-        break;
-      case FaultKind::kPauseSite:
-      case FaultKind::kResumeSite:
-      case FaultKind::kPartitionLink:
-      case FaultKind::kHealLink:
-        break;
+    if (ev.kind == FaultKind::kCrashSite) {
+      live.Crash(ev.site, ev.at_us);
+    } else if (ev.kind == FaultKind::kRecoverSite && !live.Recover(ev.site)) {
+      if (error != nullptr) {
+        *error = "RecoverAt(" + std::to_string(ev.at_us) + "us, site " +
+                 std::to_string(ev.site) + ") targets a site that is not crashed at that time";
+      }
+      return false;
     }
   }
   return true;
@@ -71,16 +61,7 @@ bool FaultPlan::Validate(int site_count, std::string* error) const {
 
 FaultInjector::FaultInjector(msim::Simulator* sim, mnet::Network* net,
                              std::vector<mos::Kernel*> kernels, mtrace::Tracer* tracer)
-    : sim_(sim), net_(net), kernels_(std::move(kernels)), tracer_(tracer) {
-  net_->SetFaultHooks(
-      [this](mnet::SiteId s) { return SiteUp(s); },
-      [this](mnet::SiteId a, mnet::SiteId b) { return LinkUp(a, b); },
-      [this](mnet::SiteId s) { return Paused(s); });
-  net_->SetCircuitDownHandler([this](mnet::SiteId src, mnet::SiteId dst) {
-    ++stats_.circuits_down;
-    Trace(src, "circuit to site " + std::to_string(dst) + " declared down");
-  });
-}
+    : sim_(sim), net_(net), kernels_(std::move(kernels)), tracer_(tracer) {}
 
 void FaultInjector::Schedule(const FaultPlan& plan) {
   std::string error;
@@ -93,16 +74,14 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
 }
 
 void FaultInjector::Apply(const FaultEvent& ev) {
+  mnet::Liveness& live = net_->liveness();
   switch (ev.kind) {
     case FaultKind::kCrashSite: {
-      if (crashed_.insert(ev.site).second) {
+      const bool was_paused = live.Paused(ev.site);
+      if (live.Crash(ev.site, sim_->Now())) {
         ++stats_.crashes;
-        crashed_at_[ev.site] = sim_->Now();
-        net_->NoteSiteCrash(ev.site);
-        if (ev.site >= 0 && ev.site < static_cast<int>(kernels_.size())) {
-          kernels_[ev.site]->Halt();
-        }
-        if (paused_.erase(ev.site) != 0) {
+        kernels_[ev.site]->Halt();
+        if (was_paused) {
           // A crash supersedes a pause: the packets held for the paused
           // site die with it rather than replaying at a later resume.
           std::uint64_t dropped = net_->DropHeld(ev.site);
@@ -118,46 +97,36 @@ void FaultInjector::Apply(const FaultEvent& ev) {
       }
       break;
     }
-    case FaultKind::kPauseSite: {
-      if (crashed_.count(ev.site) == 0 && paused_.insert(ev.site).second) {
+    case FaultKind::kPauseSite:
+      if (live.Pause(ev.site)) {
         ++stats_.pauses;
         Trace(ev.site, "site paused (inbound delivery stalled)");
       }
       break;
-    }
-    case FaultKind::kResumeSite: {
-      if (paused_.erase(ev.site) != 0) {
+    case FaultKind::kResumeSite:
+      if (live.Resume(ev.site)) {
         ++stats_.resumes;
         Trace(ev.site, "site resumed");
         net_->FlushHeld(ev.site);
       }
       break;
-    }
-    case FaultKind::kPartitionLink: {
-      if (cut_links_.insert(LinkKey(ev.site, ev.peer)).second) {
+    case FaultKind::kPartitionLink:
+      if (live.Cut(ev.site, ev.peer)) {
         ++stats_.partitions;
         Trace(ev.site, "link to site " + std::to_string(ev.peer) + " partitioned");
       }
       break;
-    }
-    case FaultKind::kHealLink: {
-      if (cut_links_.erase(LinkKey(ev.site, ev.peer)) != 0) {
+    case FaultKind::kHealLink:
+      if (live.Heal(ev.site, ev.peer)) {
         ++stats_.heals;
         Trace(ev.site, "link to site " + std::to_string(ev.peer) + " healed");
       }
       break;
-    }
-    case FaultKind::kRecoverSite: {
-      if (crashed_.erase(ev.site) != 0) {
+    case FaultKind::kRecoverSite:
+      if (live.Recover(ev.site)) {
         ++stats_.recoveries;
-        auto it = crashed_at_.find(ev.site);
-        if (it != crashed_at_.end()) {
-          stats_.downtime_us += sim_->Now() - it->second;
-          crashed_at_.erase(it);
-        }
-        if (ev.site >= 0 && ev.site < static_cast<int>(kernels_.size())) {
-          kernels_[ev.site]->Revive();
-        }
+        stats_.downtime_us += sim_->Now() - live.CrashedAt(ev.site);
+        kernels_[ev.site]->Revive();
         // Both directions of every circuit touching the site carry state
         // from before the crash (unacked windows, give-up flags); reset them
         // so the revived site starts from clean transport state.
@@ -168,7 +137,6 @@ void FaultInjector::Apply(const FaultEvent& ev) {
         }
       }
       break;
-    }
   }
 }
 

@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -111,7 +109,6 @@ struct FaultInjectorStats {
   std::uint64_t resumes = 0;
   std::uint64_t partitions = 0;
   std::uint64_t heals = 0;
-  std::uint64_t circuits_down = 0;  // circuit-layer give-ups reported to us
   // Packets that were held for a paused site when that site crashed: the
   // held queue dies with the site instead of replaying at a later resume.
   std::uint64_t held_dropped_on_crash = 0;
@@ -122,9 +119,10 @@ struct FaultInjectorStats {
   msim::Duration downtime_us = 0;
 };
 
-// Executes a FaultPlan against a simulated world: halts crashed kernels,
-// holds/releases paused traffic, cuts links, and answers the liveness
-// queries the network and protocol layers use for graceful degradation.
+// Executes a FaultPlan against a simulated world: writes each transition
+// into the network's mnet::Liveness table (the one copy of fault state every
+// layer reads), halts and revives kernels, and drops or releases the traffic
+// held for a paused site.
 class FaultInjector {
  public:
   // `kernels[s]` must be the kernel for site s. `tracer` may be null.
@@ -137,9 +135,6 @@ class FaultInjector {
   // events in the past fire immediately, in plan order. Throws
   // std::invalid_argument when FaultPlan::Validate rejects the plan.
   void Schedule(const FaultPlan& plan);
-
-  // Applies a single fault right now (tests drive these directly).
-  void Apply(const FaultEvent& ev);
 
   // Registers a callback fired (synchronously, registration order) right
   // after a site transitions to crashed. The protocol layer uses this to
@@ -157,32 +152,17 @@ class FaultInjector {
     recover_observers_.push_back(std::move(obs));
   }
 
-  // ---- Liveness oracle ----
-  bool SiteUp(mnet::SiteId s) const { return crashed_.count(s) == 0; }
-  bool Paused(mnet::SiteId s) const { return paused_.count(s) != 0; }
-  bool LinkUp(mnet::SiteId a, mnet::SiteId b) const {
-    return cut_links_.count(LinkKey(a, b)) == 0;
-  }
-
   const FaultInjectorStats& stats() const { return stats_; }
 
  private:
-  static std::uint64_t LinkKey(mnet::SiteId a, mnet::SiteId b) {
-    std::uint32_t lo = static_cast<std::uint32_t>(a < b ? a : b);
-    std::uint32_t hi = static_cast<std::uint32_t>(a < b ? b : a);
-    return (static_cast<std::uint64_t>(hi) << 32) | lo;
-  }
+  // Applies one event of a validated plan, so its sites are in range.
+  void Apply(const FaultEvent& ev);
   void Trace(mnet::SiteId site, const std::string& detail);
 
   msim::Simulator* sim_;
   mnet::Network* net_;
   std::vector<mos::Kernel*> kernels_;
   mtrace::Tracer* tracer_;
-  std::set<mnet::SiteId> crashed_;
-  std::set<mnet::SiteId> paused_;
-  std::set<std::uint64_t> cut_links_;
-  // When each currently-crashed site went down (feeds downtime accounting).
-  std::map<mnet::SiteId, msim::Time> crashed_at_;
   std::vector<CrashObserver> crash_observers_;
   std::vector<RecoverObserver> recover_observers_;
   FaultInjectorStats stats_;

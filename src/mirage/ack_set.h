@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "src/mem/page.h"
+#include "src/net/liveness.h"
 #include "src/net/packet.h"
 #include "src/sim/time.h"
 
@@ -81,13 +82,10 @@ class AckSet {
   // The incarnation fence: `s` can no longer deliver an ack owed to this set
   // if it is down, or crashed at or after `created_at` — even if it has
   // rejoined since, the message it owed died with the old incarnation.
-  // `live` answers SiteUp(s) and CrashedSince(s, t), as mnet::Network does.
-  template <typename Liveness>
-  bool Gone(const Liveness& live, mnet::SiteId s) const {
+  bool Gone(const mnet::Liveness& live, mnet::SiteId s) const {
     return !live.SiteUp(s) || live.CrashedSince(s, created_at_);
   }
-  template <typename Liveness>
-  mmem::SiteMask GoneOwing(const Liveness& live) const {
+  mmem::SiteMask GoneOwing(const mnet::Liveness& live) const {
     mmem::SiteMask gone = 0;
     mmem::ForEachSite(owing_, [&](mnet::SiteId s) {
       if (Gone(live, s)) {

@@ -800,7 +800,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
     // k membership — resurrected coverage.
     int live_before = 0;
     ForEachSite(pd.replica_set, [&](mnet::SiteId s) {
-      if (kernel_->net()->SiteUp(s)) {
+      if (live().SiteUp(s)) {
         ++live_before;
       }
     });
@@ -823,7 +823,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
         ++stats_.pages_resurrected;
       }
     } else if (recovering_.count(seg) == 0 && !StaleEpoch(seg, req.body.epoch) &&
-               pd.clock_site != site() && !kernel_->net()->SiteUp(pd.clock_site)) {
+               pd.clock_site != site() && !live().SiteUp(pd.clock_site)) {
       StartRecovery(seg, /*elected=*/false);
     }
     co_return;
@@ -837,7 +837,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
     co_await NotifyRequestFailed(self, seg, page, 0, mmem::MaskOf(requester));
     co_return;
   }
-  if (!kernel_->net()->SiteUp(requester)) {
+  if (!live().SiteUp(requester)) {
     // The requester crashed while its request was queued; a grant would be
     // dropped on the wire and the op would stall waiting for its ack.
     ++stats_.requests_dropped;
@@ -983,8 +983,7 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
       // against the rebuilt directory — nothing is lost.
       co_return;
     }
-    if (clock_site != mnet::kNoSite && clock_site != site() &&
-        !kernel_->net()->SiteUp(clock_site)) {
+    if (clock_site != mnet::kNoSite && clock_site != site() && !live().SiteUp(clock_site)) {
       // The clock site died holding the freshest copy-state. Instead of
       // condemning the page, rebuild the directory from the survivors; if a
       // copy survives anywhere the page keeps serving (freshest-copy
@@ -1185,7 +1184,6 @@ msim::Task<> Engine::AckInstall(mos::Process* self, const Grant& grant) {
 
 msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait& w) {
   AckSet& acks = w.acks;
-  const mnet::Network& net = *kernel_->net();
   for (;;) {
     if (w.wait_reply) {
       co_return AckWaitResult::kWaitReply;
@@ -1196,7 +1194,7 @@ msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait&
       // the missing acks will never come.
       co_return AckWaitResult::kStale;
     }
-    if (int n = acks.Forgive(acks.GoneOwing(net)); n > 0) {
+    if (int n = acks.Forgive(acks.GoneOwing(live())); n > 0) {
       switch (w.role) {
         case AckRole::kInstall:
           stats_.degraded_acks += n;
@@ -1228,7 +1226,7 @@ msim::Task<Engine::AckWaitResult> Engine::AwaitAcks(mos::Process* self, AckWait&
     // op; fail fast rather than burning the whole deadline. (After partial
     // progress the in-flight installs may still complete it.)
     if (acks.timed() && w.clock_site != mnet::kNoSite && w.clock_site != site() &&
-        acks.Gone(net, w.clock_site) && acks.got() == 0) {
+        acks.Gone(live(), w.clock_site) && acks.got() == 0) {
       co_return AckWaitResult::kFailed;
     }
     const msim::Duration sleep = acks.NextSleep(kernel_->Now());
@@ -1252,7 +1250,7 @@ msim::Task<> Engine::NotifyRequestFailed(mos::Process* self, mmem::SegmentId seg
     if (s == site()) {
       ++stats_.fail_notices_sent;
       ApplyRequestFailed(failed);
-    } else if (kernel_->net()->SiteUp(s)) {
+    } else if (live().SiteUp(s)) {
       ++stats_.fail_notices_sent;
       co_await Send(self, s, failed);
     }
@@ -1275,7 +1273,7 @@ mmem::SiteMask Engine::ChooseReplicaSet(mmem::SegmentId seg) const {
   // loop leaves the page one standby short of the configured count.
   const int want = opts_.mutations.quorum_off_by_one ? opts_.replicas - 1 : opts_.replicas;
   ForEachSite(candidates, [&](mnet::SiteId s) {
-    if (n < want && kernel_->net()->SiteUp(s)) {
+    if (n < want && live().SiteUp(s)) {
       out |= mmem::MaskOf(s);
       ++n;
     }
@@ -1426,7 +1424,7 @@ void Engine::AdoptEpoch(mmem::SegmentId seg, std::uint32_t epoch) {
 
 void Engine::OnSiteCrashed(mnet::SiteId crashed) {
   for (const mmem::SegmentMeta& meta : registry_->All()) {
-    if (!kernel_->net()->SiteUp(meta.library_site)) {
+    if (!live().SiteUp(meta.library_site)) {
       // The segment's controller is gone; elect a successor if it's us.
       MaybeElect(meta.id);
     } else if (meta.library_site == site()) {
@@ -1507,7 +1505,7 @@ msim::Task<> Engine::RejoinMain(mos::Process* self) {
       // by rebuilding from whatever copies survive elsewhere, under a fresh
       // epoch that fences everything from before the crash.
       StartRecovery(meta.id, /*elected=*/true);
-    } else if (kernel_->net()->SiteUp(meta.library_site)) {
+    } else if (live().SiteUp(meta.library_site)) {
       Trace("rejoin", [&] {
         return "announce rejoin for seg " + std::to_string(meta.id) + " to library " +
                std::to_string(meta.library_site);
@@ -1524,7 +1522,7 @@ void Engine::MaybeElect(mmem::SegmentId seg) {
     return;
   }
   auto meta = registry_->FindById(seg);
-  if (!meta.has_value() || kernel_->net()->SiteUp(meta->library_site)) {
+  if (!meta.has_value() || live().SiteUp(meta->library_site)) {
     return;
   }
   if (images_.count(seg) == 0) {
@@ -1532,10 +1530,10 @@ void Engine::MaybeElect(mmem::SegmentId seg) {
   }
   // Deterministic election: the successor is the lowest live attached site.
   // Every survivor computes the same answer from the shared registry and
-  // the shared liveness oracle, so exactly one site elects itself.
+  // the shared liveness table, so exactly one site elects itself.
   mnet::SiteId successor = mnet::kNoSite;
   ForEachSite(registry_->AttachedSites(seg), [&](mnet::SiteId s) {
-    if (successor == mnet::kNoSite && kernel_->net()->SiteUp(s)) {
+    if (successor == mnet::kNoSite && live().SiteUp(s)) {
       successor = s;
     }
   });
@@ -1621,7 +1619,7 @@ msim::Task<> Engine::RecoverSegment(mos::Process* self, RecoveryItem item) {
   // Solicit copy-state from every surviving attached site.
   mmem::SiteMask live_peers = 0;
   ForEachSite(registry_->AttachedSites(seg) & ~mmem::MaskOf(site()), [&](mnet::SiteId s) {
-    if (kernel_->net()->SiteUp(s)) {
+    if (live().SiteUp(s)) {
       live_peers |= mmem::MaskOf(s);
     }
   });

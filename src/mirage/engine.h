@@ -212,6 +212,9 @@ class Engine : public mmem::DsmBackend {
                              std::uint32_t epoch);
 
  private:
+  // The world's fault state, one table owned by the network.
+  const mnet::Liveness& live() const { return kernel_->net()->liveness(); }
+
   struct SegDir {
     std::vector<DirectoryView> pages;
   };

@@ -14,7 +14,6 @@
 #ifndef SRC_MIRAGE_INVARIANTS_H_
 #define SRC_MIRAGE_INVARIANTS_H_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -32,15 +31,14 @@ struct InvariantReport {
 
 class InvariantChecker {
  public:
-  explicit InvariantChecker(std::vector<Engine*> engines) : engines_(std::move(engines)) {}
-
-  // Under fault injection, scope the checks to live sites: a crashed site's
-  // frozen image is not part of the system any more, a segment whose library
-  // site is down has no authoritative directory until failover completes,
-  // and pages marked lost are exempt from the directory/image agreement.
-  // Without a predicate every site is considered live (the default).
-  using LivenessFn = std::function<bool(mnet::SiteId)>;
-  void SetLiveness(LivenessFn fn) { live_ = std::move(fn); }
+  // The checks are scoped to the sites the engines' network holds live: a
+  // crashed site's frozen image is not part of the system any more, a
+  // segment whose library site is down has no authoritative directory until
+  // failover completes, and pages marked lost are exempt from the
+  // directory/image agreement. With no engines every site is live.
+  explicit InvariantChecker(std::vector<Engine*> engines)
+      : engines_(std::move(engines)),
+        live_(engines_.empty() ? nullptr : &engines_.front()->kernel()->net()->liveness()) {}
 
   // Physical invariants only — safe to call at any instant.
   InvariantReport CheckPhysical(const SegmentRegistry& registry) const;
@@ -61,7 +59,7 @@ class InvariantChecker {
   InvariantReport CheckReplicaCoverage(const SegmentRegistry& registry) const;
 
  private:
-  bool Live(mnet::SiteId s) const { return !live_ || live_(s); }
+  bool Live(mnet::SiteId s) const { return live_ == nullptr || live_->SiteUp(s); }
   void CheckSegmentPhysical(const mmem::SegmentMeta& meta, InvariantReport* report) const;
   void CheckSegmentDirectory(const mmem::SegmentMeta& meta, InvariantReport* report) const;
   // Replication invariants (only when the library runs with replicas >= 2):
@@ -83,7 +81,7 @@ class InvariantChecker {
   }
 
   std::vector<Engine*> engines_;
-  LivenessFn live_;
+  const mnet::Liveness* live_;
   // Stateful epoch-monotonicity baselines (mutable: the Check* interface is
   // const; these record observations, not system state). A site's entry is
   // dropped while it is down — a rejoiner restarts its monotonic history,

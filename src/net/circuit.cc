@@ -133,16 +133,13 @@ void CircuitLayer::OnTimer(const Key& key) {
 
 void CircuitLayer::FailCircuit(const Key& key) {
   // Retransmit budget exhausted: the peer is unreachable for good as far as
-  // this circuit is concerned. Drop the window, count it, and report the
-  // topology change — never throw from a timer event.
+  // this circuit is concerned. Drop the window and count the topology
+  // change — never throw from a timer event.
   SendCircuit& sc = send_.At(key.src, key.dst);
   sc.failed = true;
   stats_.down_drops += sc.unacked.size();
   sc.unacked.clear();
   ++stats_.circuits_failed;
-  if (down_) {
-    down_(key.src, key.dst);
-  }
 }
 
 bool CircuitLayer::CircuitDown(SiteId src, SiteId dst) const {

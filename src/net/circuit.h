@@ -18,9 +18,9 @@
 // timers, no extra state — the fast path of the lossless configuration.
 //
 // Failure model: a frame that exhausts max_retransmits declares the whole
-// circuit DOWN — the Locus topology-change event. The layer reports it
-// through the down handler and drops the circuit's window; it never throws
-// out of a timer event, so one dead peer cannot abort the simulation.
+// circuit DOWN — the Locus topology-change event. The layer counts it in
+// circuits_failed and drops the circuit's window; it never throws out of a
+// timer event, so one dead peer cannot abort the simulation.
 // Subsequent traffic on a failed circuit is refused (counted in
 // down_drops); recovery from a healed partition must happen before the
 // retransmit budget runs out (or with max_retransmits = 0, always).
@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/net/liveness.h"
 #include "src/net/packet.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -85,15 +86,12 @@ struct CircuitStats {
 class CircuitLayer {
  public:
   using Release = std::function<void(Packet)>;
-  // Directed reachability: can a frame leaving `from` arrive at `to` right
-  // now? Installed by the fault layer; absent = always reachable.
-  using Reachability = std::function<bool(SiteId from, SiteId to)>;
-  // Invoked (outside any throw path) when a circuit exhausts its
-  // retransmit budget and is declared down.
-  using DownHandler = std::function<void(SiteId src, SiteId dst)>;
 
-  CircuitLayer(msim::Simulator* sim, CircuitOptions opts, Release release)
-      : sim_(sim), opts_(opts), rng_(opts.loss_seed), release_(std::move(release)) {}
+  // `live` is the world's fault state (Network passes its own); a frame or
+  // ack arrives only where it is Reachable. Null = every site reachable.
+  CircuitLayer(msim::Simulator* sim, CircuitOptions opts, Release release,
+               const Liveness* live = nullptr)
+      : sim_(sim), opts_(opts), rng_(opts.loss_seed), release_(std::move(release)), live_(live) {}
   CircuitLayer(const CircuitLayer&) = delete;
   CircuitLayer& operator=(const CircuitLayer&) = delete;
 
@@ -108,9 +106,6 @@ class CircuitLayer {
   // eventually releases the packet (exactly once, in order) at the
   // destination.
   void Transmit(Packet pkt);
-
-  void SetReachability(Reachability r) { reachable_ = std::move(r); }
-  void SetDownHandler(DownHandler h) { down_ = std::move(h); }
 
   // True once the (src,dst) circuit has been declared down.
   bool CircuitDown(SiteId src, SiteId dst) const;
@@ -215,15 +210,14 @@ class CircuitLayer {
     return rng_.Chance(p);
   }
   bool Reachable(SiteId from, SiteId to) const {
-    return !reachable_ || reachable_(from, to);
+    return live_ == nullptr || live_->Reachable(from, to);
   }
 
   msim::Simulator* sim_;
   CircuitOptions opts_;
   msim::Rng rng_;
   Release release_;
-  Reachability reachable_;
-  DownHandler down_;
+  const Liveness* live_;
   PairTable<SendCircuit> send_;
   PairTable<RecvCircuit> recv_;
   CircuitStats stats_;

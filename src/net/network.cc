@@ -22,41 +22,15 @@ void Network::RegisterSite(SiteId site, Sink sink) {
 }
 
 void Network::SetCircuitOptions(CircuitOptions opts) {
-  circuits_ = std::make_unique<CircuitLayer>(sim_, opts,
-                                             [this](Packet pkt) { Release(std::move(pkt)); });
-  // Re-apply fault wiring if it was installed before the circuit layer.
-  if (site_up_ || link_up_) {
-    circuits_->SetReachability(
-        [this](SiteId from, SiteId to) { return Reachable(from, to); });
-  }
-  if (circuit_down_) {
-    circuits_->SetDownHandler(circuit_down_);
-  }
-}
-
-void Network::SetFaultHooks(SitePredicate site_up, LinkPredicate link_up,
-                            SitePredicate paused) {
-  site_up_ = std::move(site_up);
-  link_up_ = std::move(link_up);
-  paused_ = std::move(paused);
-  if (circuits_ && (site_up_ || link_up_)) {
-    circuits_->SetReachability(
-        [this](SiteId from, SiteId to) { return Reachable(from, to); });
-  }
-}
-
-void Network::SetCircuitDownHandler(CircuitDownHandler h) {
-  circuit_down_ = std::move(h);
-  if (circuits_) {
-    circuits_->SetDownHandler(circuit_down_);
-  }
+  circuits_ = std::make_unique<CircuitLayer>(
+      sim_, opts, [this](Packet pkt) { Release(std::move(pkt)); }, &live_);
 }
 
 void Network::Deliver(Packet pkt) {
   if (!Registered(pkt.dst)) {
     throw std::logic_error("net: delivery to unregistered site " + std::to_string(pkt.dst));
   }
-  if (!SiteUp(pkt.src)) {
+  if (!live_.SiteUp(pkt.src)) {
     // A crashed site transmits nothing; anything already queued from it at
     // the moment of the crash vanishes with the site.
     ++stats_.dropped_site_down;
@@ -92,17 +66,17 @@ void Network::Release(Packet pkt) {
     Drop(pkt, "no-sink");
     return;
   }
-  if (!SiteUp(pkt.dst)) {
+  if (!live_.SiteUp(pkt.dst)) {
     ++stats_.dropped_site_down;
     Drop(pkt, "dst-site-down");
     return;
   }
-  if (!LinkUp(pkt.src, pkt.dst)) {
+  if (!live_.LinkUp(pkt.src, pkt.dst)) {
     ++stats_.dropped_partitioned;
     Drop(pkt, "partitioned");
     return;
   }
-  if (paused_ && paused_(pkt.dst)) {
+  if (live_.Paused(pkt.dst)) {
     ++stats_.packets_held;
     std::vector<Packet>& q = held_[pkt.dst];
     if (q.capacity() == 0) {

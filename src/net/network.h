@@ -11,12 +11,12 @@
 // latency: the paper's measured 12.9 ms short round trip is fully explained
 // by the four tx/rx elapsed components.
 //
-// Fault injection (src/fault) plugs in through three hooks: a site-up
-// predicate (crashed sites drop all traffic), a link-up predicate
-// (partitions cut a pair in both directions), and a paused predicate
-// (inbound delivery to a paused site is held, in order, and released by
-// FlushHeld at resume). Every dropped or held packet is counted — nothing
-// vanishes silently.
+// Fault state is one mnet::Liveness (src/net/liveness.h) that the network
+// owns and reads at delivery: a crashed site sends and receives nothing, a
+// cut link drops traffic in both directions, and inbound delivery to a
+// paused site is held, in order, until FlushHeld at resume. The circuit
+// layer and the DSM protocol read the same table; src/fault writes it.
+// Every dropped or held packet is counted — nothing vanishes silently.
 //
 // Hot-path layout (DESIGN.md §10): sites are dense small integers, so the
 // per-site tables (sinks, held queues) are vectors indexed by SiteId rather
@@ -33,6 +33,7 @@
 
 #include "src/net/circuit.h"
 #include "src/net/cost_model.h"
+#include "src/net/liveness.h"
 #include "src/net/packet.h"
 #include "src/sim/inline_fn.h"
 #include "src/sim/simulator.h"
@@ -65,12 +66,8 @@ class Network {
   using Sink = msim::InlineFunction<void(const Packet&), 64>;
   // Observers see every packet at delivery time (used by trace capture).
   using Observer = msim::InlineFunction<void(const Packet&, msim::Time), 64>;
-  // Fault-layer predicates; see SetFaultHooks.
-  using SitePredicate = std::function<bool(SiteId)>;
-  using LinkPredicate = std::function<bool(SiteId, SiteId)>;
   // Notified when a packet is dropped; `reason` is a static string.
   using DropHook = std::function<void(const Packet&, const char* reason)>;
-  using CircuitDownHandler = CircuitLayer::DownHandler;
 
   Network(msim::Simulator* sim, const CostModel* costs) : sim_(sim), costs_(costs) {}
   Network(const Network&) = delete;
@@ -95,13 +92,6 @@ class Network {
   }
   CircuitLayer* circuits() { return circuits_.get(); }
 
-  // Installs the fault-injection predicates (src/fault). Any may be null.
-  // site_up(s): false once s has crashed. link_up(a,b): false while the
-  // a<->b link is partitioned. paused(s): true while inbound delivery to s
-  // is stalled (packets are held for FlushHeld).
-  void SetFaultHooks(SitePredicate site_up, LinkPredicate link_up, SitePredicate paused);
-  // Forwarded to the circuit layer (kept if the layer is configured later).
-  void SetCircuitDownHandler(CircuitDownHandler h);
   // Reports every dropped packet (tracing); `reason` is a static string.
   void SetDropHook(DropHook h) { drop_hook_ = std::move(h); }
 
@@ -121,31 +111,9 @@ class Network {
     }
   }
 
-  // ---- Liveness queries (protocol-level graceful degradation) ----
-  bool SiteUp(SiteId s) const { return !site_up_ || site_up_(s); }
-  bool LinkUp(SiteId a, SiteId b) const { return !link_up_ || link_up_(a, b); }
-  bool Reachable(SiteId from, SiteId to) const { return SiteUp(to) && LinkUp(from, to); }
-
-  // ---- Crash-incarnation tracking (DESIGN.md §8 site rejoin) ----
-  // NoteSiteCrash stamps the moment a site crashed; CrashedSince(s, t)
-  // answers "did s crash at or after t?" — true even after the site has
-  // rejoined. A waiter owed a reply for a message it sent at time t must
-  // treat a rejoined s as gone: the in-flight packet died with the old
-  // incarnation, and the amnesiac reboot will never produce the ack, so
-  // SiteUp alone would leave the waiter hanging until its deadline.
-  void NoteSiteCrash(SiteId s) {
-    if (s < 0) {
-      return;
-    }
-    if (static_cast<std::size_t>(s) >= last_crash_.size()) {
-      last_crash_.resize(static_cast<std::size_t>(s) + 1, kNeverCrashed);
-    }
-    last_crash_[s] = sim_->Now();
-  }
-  bool CrashedSince(SiteId s, msim::Time t) const {
-    return s >= 0 && static_cast<std::size_t>(s) < last_crash_.size() &&
-           last_crash_[s] != kNeverCrashed && last_crash_[s] >= t;
-  }
+  // The world's fault state, read per packet here and written by src/fault.
+  const Liveness& liveness() const { return live_; }
+  Liveness& liveness() { return live_; }
 
   // Adds a delivery observer (e.g. a message-sequence tracer).
   void AddObserver(Observer obs) { observers_.push_back(std::move(obs)); }
@@ -201,20 +169,14 @@ class Network {
   std::vector<Observer> observers_;
   std::vector<Observer> send_observers_;
   bool deferred_ = false;
-  // Last crash time per SiteId (kNeverCrashed = never); see NoteSiteCrash.
-  static constexpr msim::Time kNeverCrashed = -1;
-  std::vector<msim::Time> last_crash_;
+  Liveness live_;
   // stats_ is the caller-visible snapshot; the per-type counts accumulate
   // in by_type_counts_ (flat, indexed by packet type) and are folded into
   // stats_.packets_by_type lazily by stats().
   mutable NetworkStats stats_;
   std::vector<std::uint64_t> by_type_counts_;
   std::unique_ptr<CircuitLayer> circuits_;
-  SitePredicate site_up_;
-  LinkPredicate link_up_;
-  SitePredicate paused_;
   DropHook drop_hook_;
-  CircuitDownHandler circuit_down_;
   // held_[site] is the pause queue, in arrival order. Packets are moved in
   // on hold and the whole vector is moved out on flush/drop — never copied;
   // capacity is reserved when a pause starts filling the queue.

@@ -87,13 +87,13 @@ World::World(int num_sites, WorldOptions opts)
                                                        std::move(raw_kernels), &tracer_);
     injector_->Schedule(opts.faults);
     // Library-site failover: every surviving Mirage engine learns of a
-    // crash immediately (the shared liveness oracle stands in for Locus's
+    // crash immediately (the shared liveness table stands in for Locus's
     // topology change notifications). Observers run in ascending site
     // order, so the lowest live attached site elects itself first and the
     // rest see the registry already re-homed.
     injector_->AddCrashObserver([this](mnet::SiteId crashed) {
       for (int s = 0; s < site_count(); ++s) {
-        if (s == crashed || !injector_->SiteUp(s)) {
+        if (s == crashed || !net_->liveness().SiteUp(s)) {
           continue;
         }
         if (mirage::Engine* e = engine(s)) {
@@ -161,9 +161,10 @@ void World::PrintReport(std::ostream& os) {
   }
   if (injector_ != nullptr) {
     const mfault::FaultInjectorStats& fs = injector_->stats();
+    const mnet::CircuitStats* cs = net_->circuit_stats();
     os << "faults injected: " << fs.crashes << " crashes, " << fs.pauses << " pauses, "
-       << fs.partitions << " partitions (" << fs.heals << " healed), " << fs.circuits_down
-       << " circuits declared down\n";
+       << fs.partitions << " partitions (" << fs.heals << " healed), "
+       << (cs != nullptr ? cs->circuits_failed : 0) << " circuits declared down\n";
     os << "recovery: " << sum.request_timeouts << " request timeouts, " << sum.faults_failed
        << " faults failed, " << sum.degraded_acks + sum.degraded_invalidations
        << " acks forgiven (degraded), " << sum.ops_failed << " ops failed\n";

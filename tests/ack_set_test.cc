@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include "src/net/liveness.h"
 
 namespace {
 
@@ -12,18 +12,6 @@ using mirage::AckSet;
 using Rule = AckSet::Rule;
 using Forgiveness = AckSet::Forgiveness;
 using State = AckSet::State;
-
-// A liveness oracle with the shape of mnet::Network's: current liveness plus
-// the last crash instant per site.
-struct FakeLiveness {
-  static constexpr msim::Time kNever = -1;
-  std::vector<bool> up = std::vector<bool>(8, true);
-  std::vector<msim::Time> last_crash = std::vector<msim::Time>(8, kNever);
-  bool SiteUp(mnet::SiteId s) const { return up[s]; }
-  bool CrashedSince(mnet::SiteId s, msim::Time t) const {
-    return last_crash[s] != kNever && last_crash[s] >= t;
-  }
-};
 
 AckSet Make(Rule rule, Forgiveness forgiveness, msim::Time created_at = 0) {
   return AckSet(rule, forgiveness, created_at, /*deadline=*/0, /*period=*/0);
@@ -173,21 +161,24 @@ TEST(AckSet, IncarnationFence) {
   a.Owe(1);
   a.Owe(2);
   a.Owe(3);
-  FakeLiveness live;
+  mnet::Liveness live;
   // Site 1 crashed after the set was created and has rejoined: the message
   // it owed died with the old incarnation, so it is gone.
-  live.last_crash[1] = 1500;
+  live.Crash(1, 1500);
+  live.Recover(1);
   // Site 2 crashed before the set was created and is up: its current
   // incarnation received the request, so it still owes the ack.
-  live.last_crash[2] = 400;
-  // Site 3 is down right now.
-  live.up[3] = false;
+  live.Crash(2, 400);
+  live.Recover(2);
+  // Site 3 is down right now (it crashed before the set was created).
+  live.Crash(3, 200);
   EXPECT_TRUE(a.Gone(live, 1));
   EXPECT_FALSE(a.Gone(live, 2));
   EXPECT_TRUE(a.Gone(live, 3));
   EXPECT_EQ(a.GoneOwing(live), mmem::MaskOf(1) | mmem::MaskOf(3));
   // A crash at the creation instant is already after the request left.
-  live.last_crash[2] = created_at;
+  live.Crash(2, created_at);
+  live.Recover(2);
   EXPECT_TRUE(a.Gone(live, 2));
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "src/net/circuit.h"
@@ -125,17 +124,11 @@ TEST_F(CircuitFixture, RetransmitLimitDeclaresCircuitDownWithoutThrowing) {
   opts.max_retransmits = 3;
   opts.retransmit_timeout_us = 10 * kMillisecond;
   layer = std::make_unique<CircuitLayer>(&sim, opts, [](const Packet&) {});
-  std::vector<std::pair<mnet::SiteId, mnet::SiteId>> downs;
-  layer->SetDownHandler([&](mnet::SiteId src, mnet::SiteId dst) {
-    downs.emplace_back(src, dst);
-  });
   layer->Transmit(Pkt(0, 1, 1));
-  // The budget exhausts quietly: the circuit is declared down and reported
-  // through the handler — a dead peer must never abort the simulation.
+  // The budget exhausts quietly: the circuit is declared down and counted
+  // — a dead peer must never abort the simulation.
   EXPECT_NO_THROW(sim.RunUntil(10 * kSecond));
   EXPECT_EQ(layer->stats().circuits_failed, 1u);
-  ASSERT_EQ(downs.size(), 1u);
-  EXPECT_EQ(downs[0], std::make_pair(mnet::SiteId{0}, mnet::SiteId{1}));
   EXPECT_TRUE(layer->CircuitDown(0, 1));
   EXPECT_FALSE(layer->CircuitDown(1, 0));
   // Traffic offered to the failed circuit is refused and counted.
@@ -190,25 +183,24 @@ TEST_F(CircuitFixture, AsymmetricAckOnlyLossSuppressesDuplicates) {
 }
 
 TEST_F(CircuitFixture, PartitionHealsAndRetransmissionRecovers) {
-  // A deterministic partition (reachability flips false then back true):
-  // frames sent into the partition vanish, and after the heal the
-  // retransmit machinery delivers everything, in order, exactly once.
+  // A deterministic partition (the link is cut, then healed): frames sent
+  // into the partition vanish, and after the heal the retransmit machinery
+  // delivers everything, in order, exactly once.
   CircuitOptions opts;
   opts.force_sequencing = true;  // no random loss; the partition is the fault
   opts.retransmit_timeout_us = 20 * kMillisecond;
   opts.max_retransmits = 0;  // unlimited budget: survive any outage length
-  layer = std::make_unique<CircuitLayer>(&sim, opts,
-                                         [this](const Packet& p) { released.push_back(p.type); });
-  bool partitioned = false;
-  layer->SetReachability([&](mnet::SiteId, mnet::SiteId) { return !partitioned; });
+  mnet::Liveness live;
+  layer = std::make_unique<CircuitLayer>(
+      &sim, opts, [this](const Packet& p) { released.push_back(p.type); }, &live);
 
   layer->Transmit(Pkt(0, 1, 1));
-  sim.ScheduleAt(5 * kMillisecond, [&] { partitioned = true; });
+  sim.ScheduleAt(5 * kMillisecond, [&] { live.Cut(0, 1); });
   // Frames 2..6 are sent into the partition.
   for (std::uint32_t i = 2; i <= 6; ++i) {
     sim.ScheduleAt(10 * kMillisecond * i, [&, i] { layer->Transmit(Pkt(0, 1, i)); });
   }
-  sim.ScheduleAt(400 * kMillisecond, [&] { partitioned = false; });
+  sim.ScheduleAt(400 * kMillisecond, [&] { live.Heal(0, 1); });
   sim.RunUntil(30 * kSecond);
 
   ASSERT_EQ(released.size(), 6u);

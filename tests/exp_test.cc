@@ -139,6 +139,8 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
       {R"({"sites": [0]})", [](mexp::ExperimentSpec* s) { s->sites = {0}; }},
       {R"({"kv_replicas": [0]})", [](mexp::ExperimentSpec* s) { s->kv_replicas = {0}; }},
       {R"({"zipf_s": [-1]})", [](mexp::ExperimentSpec* s) { s->zipf_s = {-1.0}; }},
+      {R"({"loss": [1.5]})", [](mexp::ExperimentSpec* s) { s->loss = {1.5}; }},
+      {R"({"loss": [-0.2]})", [](mexp::ExperimentSpec* s) { s->loss = {-0.2}; }},
       {R"({"repetitions": 0})", [](mexp::ExperimentSpec* s) { s->repetitions = 0; }},
       {R"({"workload": "bogus"})", [](mexp::ExperimentSpec* s) { s->workload = "bogus"; }},
       {R"({"cost_presets": ["token-ring"]})",
@@ -629,12 +631,17 @@ TEST(Report, CsvHasHeaderAndOneRowPerMetric) {
   mexp::ExperimentSpec spec;
   spec.workload = "pingpong";
   spec.rounds = 4;
+  spec.cost_presets = {"ethernet1989", "rdma"};
   mexp::ExperimentReport report = mexp::ExperimentRunner(1).Run(spec);
   std::ostringstream os;
   mexp::WriteCsv(report, os);
   std::string csv = os.str();
   EXPECT_NE(csv.find("point,workload,sites,delta_ms"), std::string::npos);
   EXPECT_NE(csv.find(",throughput,"), std::string::npos);
+  EXPECT_NE(csv.find(",kv_replicas,cost,fault_plan,metric,"), std::string::npos);
+  // Each cost preset is its own point, and its rows name the preset.
+  EXPECT_NE(csv.find(",ethernet1989,none,throughput,"), std::string::npos);
+  EXPECT_NE(csv.find(",rdma,none,throughput,"), std::string::npos);
   EXPECT_NE(csv.find(",write_fault_p99_ms,"), std::string::npos);
 }
 

@@ -700,7 +700,6 @@ TEST_F(FaultTest, CrashThenRecoverRejoinsAndResurrects) {
   EXPECT_EQ(w->engine(1)->stats().rejoins, 1u);
 
   mirage::InvariantChecker checker(engines);
-  checker.SetLiveness([this](mnet::SiteId s) { return w->faults()->SiteUp(s); });
   mirage::InvariantReport full = checker.CheckFull(w->registry());
   EXPECT_TRUE(full.ok()) << (full.violations.empty() ? "" : full.violations[0]);
   mirage::InvariantReport coverage = checker.CheckReplicaCoverage(w->registry());
@@ -713,7 +712,7 @@ TEST_F(FaultTest, CrashThenRecoverRejoinsAndResurrects) {
 // for died with the old incarnation, and the amnesiac reboot never saw it.
 // A current-liveness check alone sees the site up again and waits until the
 // op deadline — condemning the page and starving every requester behind the
-// stuck commit. The crash-incarnation fence (Network::CrashedSince) shrinks
+// stuck commit. The crash-incarnation fence (Liveness::CrashedSince) shrinks
 // the quorum to the survivors at the first re-exam instead.
 TEST_F(FaultTest, RejoinBeforeAckTimeoutUnsticksQuorumWait) {
   WorldOptions opts;
@@ -771,7 +770,6 @@ TEST_F(FaultTest, RejoinBeforeAckTimeoutUnsticksQuorumWait) {
   EXPECT_EQ(lost, 0u);
 
   mirage::InvariantChecker checker(engines);
-  checker.SetLiveness([this](mnet::SiteId s) { return w->faults()->SiteUp(s); });
   mirage::InvariantReport full = checker.CheckFull(w->registry());
   EXPECT_TRUE(full.ok()) << (full.violations.empty() ? "" : full.violations[0]);
 }
@@ -868,7 +866,6 @@ TEST_F(FaultTest, ReviveWhileBystanderPaused) {
     engines.push_back(w->engine(s));
   }
   mirage::InvariantChecker checker(engines);
-  checker.SetLiveness([this](mnet::SiteId s) { return w->faults()->SiteUp(s); });
   mirage::InvariantReport report = checker.CheckFull(w->registry());
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
 }

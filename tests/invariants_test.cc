@@ -265,7 +265,7 @@ TEST_F(InvariantsTest, ReplicaSetNamingDeadSiteIsFlagged) {
     }
   }
   ASSERT_NE(victim, mnet::kNoSite);
-  Checker()->SetLiveness([victim](mnet::SiteId s) { return s != victim; });
+  w->network().liveness().Crash(victim, w->sim().Now());
   InvariantReport r = CheckFull();
   EXPECT_TRUE(Mentions(r, "replica set names dead site")) << Joined(r);
 }

@@ -1,10 +1,11 @@
-// Unit tests for the network substrate: cost model arithmetic, delivery,
-// ordering, statistics, and observers.
+// Unit tests for the network substrate: cost model arithmetic, the
+// liveness table, delivery, ordering, statistics, and observers.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/net/cost_model.h"
+#include "src/net/liveness.h"
 #include "src/net/network.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
@@ -12,6 +13,7 @@
 namespace {
 
 using mnet::CostModel;
+using mnet::Liveness;
 using mnet::Network;
 using mnet::Packet;
 
@@ -29,6 +31,60 @@ TEST(CostModel, ThresholdSplitsShortAndLarge) {
   EXPECT_EQ(c.TxCost(255), c.tx_short_us);
   EXPECT_EQ(c.TxCost(256), c.tx_large_us);
   EXPECT_EQ(c.RxCost(576), c.rx_large_us);
+}
+
+TEST(Liveness, CrashClearsPause) {
+  Liveness live;
+  ASSERT_TRUE(live.Pause(2));
+  EXPECT_TRUE(live.Paused(2));
+  EXPECT_TRUE(live.Crash(2, 50));
+  EXPECT_FALSE(live.SiteUp(2));
+  EXPECT_FALSE(live.Paused(2));
+  // The pause does not come back with the site.
+  EXPECT_TRUE(live.Recover(2));
+  EXPECT_TRUE(live.SiteUp(2));
+  EXPECT_FALSE(live.Paused(2));
+}
+
+TEST(Liveness, WritesThatChangeNothingReportNoChange) {
+  Liveness live;
+  EXPECT_FALSE(live.Recover(1));  // live already
+  ASSERT_TRUE(live.Crash(1, 10));
+  EXPECT_FALSE(live.Crash(1, 20));  // down already; the first instant stands
+  EXPECT_EQ(live.CrashedAt(1), 10);
+  EXPECT_FALSE(live.Pause(1));  // a down site cannot be paused
+  EXPECT_FALSE(live.Paused(1));
+  EXPECT_FALSE(live.Resume(1));
+  EXPECT_FALSE(live.Heal(0, 1));  // never cut
+}
+
+TEST(Liveness, CutAndHealAreSymmetric) {
+  Liveness live;
+  ASSERT_TRUE(live.Cut(3, 1));
+  EXPECT_FALSE(live.LinkUp(1, 3));
+  EXPECT_FALSE(live.LinkUp(3, 1));
+  EXPECT_FALSE(live.Reachable(1, 3));
+  EXPECT_FALSE(live.Cut(1, 3));  // the same link
+  EXPECT_TRUE(live.LinkUp(1, 2));
+  EXPECT_TRUE(live.SiteUp(3));  // a cut link leaves both ends up
+  EXPECT_TRUE(live.Heal(1, 3));
+  EXPECT_TRUE(live.LinkUp(3, 1));
+  EXPECT_FALSE(live.Heal(3, 1));
+}
+
+TEST(Liveness, CrashedSinceSurvivesRecovery) {
+  Liveness live;
+  EXPECT_FALSE(live.CrashedSince(0, 0));  // never crashed
+  ASSERT_TRUE(live.Crash(0, 100));
+  ASSERT_TRUE(live.Recover(0));
+  EXPECT_TRUE(live.SiteUp(0));
+  EXPECT_TRUE(live.CrashedSince(0, 100));
+  EXPECT_TRUE(live.CrashedSince(0, 40));
+  EXPECT_FALSE(live.CrashedSince(0, 101));
+  // Sites the table has never seen are healthy.
+  EXPECT_TRUE(live.SiteUp(9));
+  EXPECT_TRUE(live.Reachable(9, 8));
+  EXPECT_FALSE(live.CrashedSince(9, 0));
 }
 
 struct NetFixture : public ::testing::Test {

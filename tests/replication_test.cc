@@ -41,11 +41,7 @@ struct ReplicationTest : public ::testing::Test {
     for (int s = 0; s < w->site_count(); ++s) {
       engines.push_back(w->engine(s));
     }
-    mirage::InvariantChecker checker(engines);
-    if (w->faults() != nullptr) {  // fault-free worlds have no injector
-      checker.SetLiveness([this](mnet::SiteId s) { return w->faults()->SiteUp(s); });
-    }
-    return checker.CheckFull(w->registry());
+    return mirage::InvariantChecker(engines).CheckFull(w->registry());
   }
   std::unique_ptr<World> w;
   int shmid = -1;

@@ -109,7 +109,6 @@ TEST_P(ReplicationSoak, RandomSingleCrashNeverLosesPages) {
   EXPECT_EQ(lost, 0u) << "a single crash condemned pages despite replicas=2";
 
   mirage::InvariantChecker checker(engines);
-  checker.SetLiveness([&w](mnet::SiteId s) { return w.faults()->SiteUp(s); });
   mirage::InvariantReport report = checker.CheckFull(w.registry());
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
 
