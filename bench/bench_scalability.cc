@@ -26,15 +26,18 @@ int main() {
   std::printf("(one writer; N-1 sites hold read copies of the hot page)\n\n");
   mtrace::TextTable t({"sites", "readers invalidated", "mean write latency (ms)",
                        "invalidations/round", "completed"});
+  bool all_completed = true;
   for (const mexp::PointResult& pt : report.points) {
+    const bool completed = pt.metrics.at("completed").Mean() == 1.0;
+    all_completed = all_completed && completed;
     t.AddRow({mtrace::TextTable::Int(pt.params.sites),
               mtrace::TextTable::Int(pt.params.sites - 1),
               mtrace::TextTable::Num(pt.metrics.at("mean_write_latency_ms").Mean(), 1),
               mtrace::TextTable::Num(pt.metrics.at("invalidations_per_round").Mean(), 1),
-              pt.metrics.at("completed").Mean() == 1.0 ? "yes" : "NO"});
+              completed ? "yes" : "NO"});
   }
   t.Print(std::cout);
   std::printf("\nexpected shape: latency linear in the reader count (sequential\n"
               "point-to-point invalidations with acknowledgements)\n");
-  return 0;
+  return all_completed ? 0 : 1;
 }

@@ -104,12 +104,6 @@ class DistHashMap {
   // (per-slot TestAndSet); inserts serialize on the shard lock.
   msim::Task<PutStatus> Put(mos::Process* p, std::uint32_t key, const std::uint32_t* value);
 
-  // Which shard a key lives in — callers use this to pick the right replica
-  // or to report per-shard load.
-  std::uint32_t ShardOf(std::uint32_t key) const {
-    return static_cast<std::uint32_t>(Mix(key) % layout_.shards);
-  }
-
   // Naming convention for shard segments: one key per (map, replica, shard).
   // Whoever Shmgets it first homes the shard there.
   static std::uint64_t ShardKey(std::uint64_t map_key, std::uint32_t replica,

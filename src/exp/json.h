@@ -98,7 +98,6 @@ class Json {
     }
     return nullptr;
   }
-  bool Has(const std::string& key) const { return Find(key) != nullptr; }
 
   // Convenience typed getters with defaults, for spec parsing.
   double GetDouble(const std::string& key, double fallback) const {

@@ -57,9 +57,6 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
     opts.protocol.max_request_attempts = 5;
     opts.protocol.ack_timeout_us = 250 * msim::kMillisecond;
     opts.protocol.op_timeout_us = 2 * msim::kSecond;
-    if (opts.circuit.has_value()) {
-      opts.circuit->force_sequencing = true;  // heal recovers by retransmit
-    }
   }
   if (cfg.baseline) {
     opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,

@@ -15,7 +15,7 @@
 //    delivery (a wedged network server / long GC-like stall): packets are
 //    held in order and released at resume;
 //  * partition/heal(a,b) — the link between two sites is cut in both
-//    directions; with the circuit layer active, retransmission recovers
+//    directions; with the circuit layer configured, retransmission recovers
 //    everything sent during a healed partition.
 //
 // All transitions are simulator events scheduled from a FaultPlan, so a run
@@ -78,9 +78,7 @@ class FaultPlan {
     events_.push_back({t, FaultKind::kHealLink, a, b});
     return *this;
   }
-  // Revives a crashed site with amnesia at time t. The target must be
-  // crashed at t (Validate rejects the plan otherwise — a recover that
-  // silently no-ops almost certainly means a typo in the schedule).
+  // Revives a crashed site with amnesia at time t.
   FaultPlan& RecoverAt(msim::Time t, mnet::SiteId site) {
     events_.push_back({t, FaultKind::kRecoverSite, site, mnet::kNoSite});
     return *this;
@@ -88,10 +86,13 @@ class FaultPlan {
 
   // Checks the plan against a world of `site_count` sites. Rejects a plan
   // that names a site outside [0, site_count) (a crash, pause, resume or
-  // recover target, or either end of a cut or heal), and simulates the
+  // recover target, or either end of a cut or heal), and replays the
   // timeline (events ordered by time, plan order on ties — the order the
-  // simulator fires them) to reject a RecoverAt whose target is not crashed
-  // at that moment. Returns false and fills `error` on rejection.
+  // simulator fires them) to reject the first event that would change
+  // nothing: a crash of a crashed site, a pause of a crashed or paused one,
+  // a resume of an unpaused one, a recover of a live one, a cut of a cut
+  // link or a heal of an uncut one. Returns false and fills `error` on
+  // rejection.
   // FaultInjector::Schedule calls this and throws std::invalid_argument on
   // failure.
   bool Validate(int site_count, std::string* error) const;

@@ -169,7 +169,6 @@ class Engine : public mmem::DsmBackend {
   mmem::SegmentImage* ImageOrNull(mmem::SegmentId seg);
   std::optional<DirectoryView> Directory(mmem::SegmentId seg, mmem::PageNum page) const;
   bool IsLibraryFor(mmem::SegmentId seg) const { return dirs_.count(seg) != 0; }
-  std::size_t LibraryQueueLength() const { return lib_queue_.size(); }
   const EngineStats& stats() const { return stats_; }
   // Fault-to-resume latency distributions at this (using) site.
   const mtrace::LatencyHistogram& read_fault_latency() const { return read_fault_latency_; }

@@ -313,10 +313,6 @@ struct MutationOptions {
   // reader copies. Detected by CheckPhysical (writer/reader overlap) and by
   // the SC witness checker on same-page litmus tests.
   bool drop_invalidate_ack = false;
-
-  bool AnyEnabled() const {
-    return quorum_off_by_one || skip_epoch_fence || drop_invalidate_ack;
-  }
 };
 
 // Tunables and the paper's optional mechanisms.

@@ -3,24 +3,10 @@
 namespace mnet {
 
 void CircuitLayer::Transmit(Packet pkt) {
-  if (!Active()) {
-    // Lossless medium: pure propagation, no sequencing state. Reachability
-    // is evaluated at arrival time by Network::Release.
-    sim_->Schedule(opts_.propagation_us,
-                   [this, pkt = std::move(pkt)]() mutable { release_(std::move(pkt)); });
-    return;
-  }
   Key key{pkt.src, pkt.dst};
   SendCircuit& sc = send_.At(key.src, key.dst);
-  if (sc.failed) {
-    // The circuit was declared down; the peer is gone as far as this site's
-    // topology is concerned. Refuse the frame (the upper layer's timeout and
-    // degraded-mode paths recover).
-    ++stats_.down_drops;
-    return;
-  }
   std::uint64_t seq = sc.next_seq++;
-  sc.unacked.emplace(seq, std::make_pair(pkt, 0));
+  sc.unacked.emplace(seq, pkt);
   ++stats_.data_frames_sent;
   SendFrame(key, seq, pkt, /*is_retransmit=*/false);
   ArmTimer(key);
@@ -36,7 +22,7 @@ void CircuitLayer::SendFrame(const Key& key, std::uint64_t seq, const Packet& pk
     return;  // the retransmit timer recovers
   }
   Packet copy = pkt;
-  sim_->Schedule(opts_.propagation_us,
+  sim_->Schedule(kPropagationUs,
                  [this, key, seq, copy = std::move(copy)]() mutable {
                    OnFrameArrival(key, seq, std::move(copy));
                  });
@@ -46,7 +32,7 @@ void CircuitLayer::OnFrameArrival(const Key& key, std::uint64_t seq, Packet pkt)
   if (!Reachable(key.src, key.dst)) {
     // The destination crashed or the link is partitioned: the frame vanishes
     // on the wire. No ack — the sender's retransmit timer keeps trying until
-    // the fault heals or the retransmit budget declares the circuit down.
+    // the fault heals.
     ++stats_.down_drops;
     return;
   }
@@ -76,11 +62,11 @@ void CircuitLayer::OnFrameArrival(const Key& key, std::uint64_t seq, Packet pkt)
 
 void CircuitLayer::SendAck(const Key& data_key, std::uint64_t cumulative) {
   ++stats_.acks_sent;
-  if (AckLost()) {
+  if (Lost()) {
     ++stats_.acks_dropped;
     return;
   }
-  sim_->Schedule(opts_.propagation_us,
+  sim_->Schedule(kPropagationUs,
                  [this, data_key, cumulative] { OnAck(data_key, cumulative); });
 }
 
@@ -109,48 +95,21 @@ void CircuitLayer::ArmTimer(const Key& key) {
   if (sc.timer != 0 || sc.unacked.empty()) {
     return;
   }
-  sc.timer = sim_->Schedule(opts_.retransmit_timeout_us, [this, key] { OnTimer(key); });
+  sc.timer = sim_->Schedule(kRetransmitTimeoutUs, [this, key] { OnTimer(key); });
 }
 
 void CircuitLayer::OnTimer(const Key& key) {
   SendCircuit& sc = send_.At(key.src, key.dst);
   sc.timer = 0;
-  if (sc.unacked.empty() || sc.failed) {
-    return;
-  }
   // Go-back-style: retransmit every unacked frame (the window is small in
   // practice — the DSM protocol is request/response).
-  for (auto& [seq, entry] : sc.unacked) {
-    ++entry.second;
-    if (opts_.max_retransmits > 0 && entry.second > opts_.max_retransmits) {
-      FailCircuit(key);
-      return;
-    }
-    SendFrame(key, seq, entry.first, /*is_retransmit=*/true);
+  for (const auto& [seq, pkt] : sc.unacked) {
+    SendFrame(key, seq, pkt, /*is_retransmit=*/true);
   }
   ArmTimer(key);
 }
 
-void CircuitLayer::FailCircuit(const Key& key) {
-  // Retransmit budget exhausted: the peer is unreachable for good as far as
-  // this circuit is concerned. Drop the window and count the topology
-  // change — never throw from a timer event.
-  SendCircuit& sc = send_.At(key.src, key.dst);
-  sc.failed = true;
-  stats_.down_drops += sc.unacked.size();
-  sc.unacked.clear();
-  ++stats_.circuits_failed;
-}
-
-bool CircuitLayer::CircuitDown(SiteId src, SiteId dst) const {
-  const SendCircuit* sc = send_.Find(src, dst);
-  return sc != nullptr && sc->failed;
-}
-
 void CircuitLayer::ResetSite(SiteId site) {
-  if (!Active()) {
-    return;
-  }
   // Every recv entry has a matching send entry (both live in this one
   // layer), so walking the send table covers each direction of every
   // circuit that touches the site exactly once.
@@ -166,7 +125,6 @@ void CircuitLayer::ResetSite(SiteId site) {
     // crash; drop them (counted like any other down loss).
     stats_.down_drops += sc.unacked.size();
     sc.unacked.clear();
-    sc.failed = false;
     // Fast-forward the receiver past everything from before the reset.
     // next_seq is kept, so stale in-flight frames dedup instead of being
     // mistaken for fresh post-revive traffic.

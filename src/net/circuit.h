@@ -14,16 +14,14 @@
 //    themselves may be lost; retransmission and deduplication cover it).
 //
 // Loss injection is deterministic (seeded), so every failure test is
-// exactly reproducible. With loss disabled the layer is inert: no acks, no
-// timers, no extra state — the fast path of the lossless configuration.
+// exactly reproducible. Network runs without this layer unless one is
+// configured; a configured layer always sequences.
 //
-// Failure model: a frame that exhausts max_retransmits declares the whole
-// circuit DOWN — the Locus topology-change event. The layer counts it in
-// circuits_failed and drops the circuit's window; it never throws out of a
-// timer event, so one dead peer cannot abort the simulation.
-// Subsequent traffic on a failed circuit is refused (counted in
-// down_drops); recovery from a healed partition must happen before the
-// retransmit budget runs out (or with max_retransmits = 0, always).
+// Failure model: the layer never gives a peer up; down-ness is Liveness's.
+// A frame or ack that meets a crashed site or a cut link vanishes (counted
+// in down_drops) and the sender keeps retransmitting, so a healed partition
+// recovers everything sent into it. A recovering site's circuits are reset
+// by ResetSite.
 #ifndef SRC_NET_CIRCUIT_H_
 #define SRC_NET_CIRCUIT_H_
 
@@ -44,25 +42,9 @@
 namespace mnet {
 
 struct CircuitOptions {
-  // Probability that any single frame (data or ack) is dropped in flight.
+  // Probability that any single frame, data or ack, is dropped in flight.
   double loss_probability = 0.0;
-  // Separate drop probability for acks; negative = use loss_probability.
-  // (Asymmetric loss — data arrives, acks die — is the hard duplicate-
-  // suppression case.)
-  double ack_loss_probability = -1.0;
   std::uint64_t loss_seed = 0x10C05;
-  // Run the sequencing/ack machinery even with zero random loss. Fault
-  // plans need this: a partition drops frames deterministically, and only
-  // retransmission recovers them after the heal.
-  bool force_sequencing = false;
-  // Wire propagation per frame (the calibrated tx/rx elapsed costs live in
-  // the kernels; this is pure medium latency).
-  msim::Duration propagation_us = 100;
-  // Retransmit an unacked frame after this long.
-  msim::Duration retransmit_timeout_us = 60 * msim::kMillisecond;
-  // Declare the circuit down after this many retransmissions of one frame
-  // (0 = never). Mirage assumes a live network; the default keeps trying.
-  int max_retransmits = 0;
 };
 
 struct CircuitStats {
@@ -74,10 +56,8 @@ struct CircuitStats {
   std::uint64_t acks_sent = 0;
   std::uint64_t acks_dropped = 0;
   // Frames and acks swallowed because the destination site or the link is
-  // down (fault injection), or because the circuit already failed.
+  // down (fault injection), and unacked frames discarded by ResetSite.
   std::uint64_t down_drops = 0;
-  // Circuits declared down after exhausting the retransmit budget.
-  std::uint64_t circuits_failed = 0;
 };
 
 // The transport under Network. Network::Deliver hands frames here; the
@@ -95,33 +75,29 @@ class CircuitLayer {
   CircuitLayer(const CircuitLayer&) = delete;
   CircuitLayer& operator=(const CircuitLayer&) = delete;
 
-  // True when the layer does sequencing/acks (lossy medium configured or
-  // sequencing forced for fault injection).
-  bool Active() const {
-    return opts_.loss_probability > 0.0 || opts_.ack_loss_probability > 0.0 ||
-           opts_.force_sequencing;
-  }
-
   // Entry point from Network::Deliver. May drop, sequence, and retransmit;
   // eventually releases the packet (exactly once, in order) at the
   // destination.
   void Transmit(Packet pkt);
 
-  // True once the (src,dst) circuit has been declared down.
-  bool CircuitDown(SiteId src, SiteId dst) const;
-
   // Site-recovery hook: resets every circuit touching `site` (both
-  // directions) to a clean, un-failed state. Sequence counters are
-  // deliberately PRESERVED — the receiver is fast-forwarded past the old
-  // window instead, so frames still in flight from before the crash arrive
-  // as duplicates and are re-acked away rather than masquerading as (or
-  // blocking) post-revive traffic. Unacked windows, retransmit timers,
-  // out-of-order buffers, and DOWN declarations are dropped.
+  // directions) to a clean state. Sequence counters are deliberately
+  // PRESERVED — the receiver is fast-forwarded past the old window instead,
+  // so frames still in flight from before the crash arrive as duplicates
+  // and are re-acked away rather than masquerading as (or blocking)
+  // post-revive traffic. Unacked windows, retransmit timers and
+  // out-of-order buffers are dropped.
   void ResetSite(SiteId site);
 
   const CircuitStats& stats() const { return stats_; }
 
  private:
+  // Wire propagation per frame (the calibrated tx/rx elapsed costs live in
+  // the kernels; this is pure medium latency).
+  static constexpr msim::Duration kPropagationUs = 100;
+  // Retransmit an unacked frame after this long.
+  static constexpr msim::Duration kRetransmitTimeoutUs = 60 * msim::kMillisecond;
+
   struct Key {
     SiteId src;
     SiteId dst;
@@ -160,15 +136,6 @@ class CircuitLayer {
       return rows_[s][d].get();
     }
 
-    const T* Find(SiteId src, SiteId dst) const {
-      auto s = static_cast<std::size_t>(src);
-      auto d = static_cast<std::size_t>(dst);
-      if (s >= rows_.size() || d >= rows_[s].size()) {
-        return nullptr;
-      }
-      return rows_[s][d].get();
-    }
-
     // Visits every existing entry in (src, dst) index order.
     template <typename F>
     void ForEach(F&& f) {
@@ -186,10 +153,9 @@ class CircuitLayer {
   };
   struct SendCircuit {
     std::uint64_t next_seq = 1;
-    // seq -> (frame, retransmit count); ordered so the front is the oldest.
-    std::map<std::uint64_t, std::pair<Packet, int>> unacked;
+    // seq -> frame; ordered so the front is the oldest.
+    std::map<std::uint64_t, Packet> unacked;
     msim::EventId timer = 0;
-    bool failed = false;
   };
   struct RecvCircuit {
     std::uint64_t next_expected = 1;
@@ -202,13 +168,7 @@ class CircuitLayer {
   void OnAck(const Key& data_key, std::uint64_t cumulative);
   void ArmTimer(const Key& key);
   void OnTimer(const Key& key);
-  void FailCircuit(const Key& key);
   bool Lost() { return rng_.Chance(opts_.loss_probability); }
-  bool AckLost() {
-    double p = opts_.ack_loss_probability >= 0.0 ? opts_.ack_loss_probability
-                                                 : opts_.loss_probability;
-    return rng_.Chance(p);
-  }
   bool Reachable(SiteId from, SiteId to) const {
     return live_ == nullptr || live_->Reachable(from, to);
   }

@@ -18,7 +18,6 @@ void Network::RegisterSite(SiteId site, Sink sink) {
     held_.resize(site + 1);
   }
   sinks_[site] = std::move(sink);
-  ++registered_sites_;
 }
 
 void Network::SetCircuitOptions(CircuitOptions opts) {

@@ -86,11 +86,10 @@ class Network {
   // Configures the Locus virtual-circuit transport (sequencing, acks,
   // retransmission) over a lossy medium. Call before any traffic flows.
   void SetCircuitOptions(CircuitOptions opts);
-  // Circuit transport statistics; nullptr when no circuit layer is active.
+  // Circuit transport statistics; nullptr when no circuit layer is configured.
   const CircuitStats* circuit_stats() const {
     return circuits_ ? &circuits_->stats() : nullptr;
   }
-  CircuitLayer* circuits() { return circuits_.get(); }
 
   // Reports every dropped packet (tracing); `reason` is a static string.
   void SetDropHook(DropHook h) { drop_hook_ = std::move(h); }
@@ -134,7 +133,6 @@ class Network {
   // reorder candidates. Only meaningful without a circuit layer (the circuit
   // layer already decouples via its own timers).
   void SetDeferredDelivery(bool on) { deferred_ = on; }
-  bool deferred_delivery() const { return deferred_; }
 
   // Event domain for one direction of a virtual circuit. Distinct from every
   // kernel site domain (those are the small site ids) by the offset, which
@@ -150,8 +148,6 @@ class Network {
   const NetworkStats& stats() const;
   void ResetStats();
 
-  std::size_t SiteCount() const { return registered_sites_; }
-
  private:
   void Release(Packet pkt);
   void Drop(const Packet& pkt, const char* reason);
@@ -165,7 +161,6 @@ class Network {
   // Indexed by SiteId (sites are dense small integers); an empty Sink marks
   // an unregistered slot.
   std::vector<Sink> sinks_;
-  std::size_t registered_sites_ = 0;
   std::vector<Observer> observers_;
   std::vector<Observer> send_observers_;
   bool deferred_ = false;

@@ -60,7 +60,6 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  bool HasWaiters() const { return !waiters_.empty(); }
   std::size_t WaiterCount() const { return waiters_.size(); }
 
  private:

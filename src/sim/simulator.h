@@ -198,7 +198,6 @@ class Simulator {
   // delivery is the only cross-partition edge). 0 (the default) disables
   // window formation, degrading parallel mode to serial stepping.
   void SetMinLookahead(Duration la) { lookahead_ = la > 0 ? la : 0; }
-  Duration min_lookahead() const { return lookahead_; }
 
   // Send fencing: a sender that has decided to deliver a message at some
   // time >= lower_bound (but has not yet scheduled the delivery, e.g. it is

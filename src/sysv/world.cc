@@ -161,10 +161,8 @@ void World::PrintReport(std::ostream& os) {
   }
   if (injector_ != nullptr) {
     const mfault::FaultInjectorStats& fs = injector_->stats();
-    const mnet::CircuitStats* cs = net_->circuit_stats();
     os << "faults injected: " << fs.crashes << " crashes, " << fs.pauses << " pauses, "
-       << fs.partitions << " partitions (" << fs.heals << " healed), "
-       << (cs != nullptr ? cs->circuits_failed : 0) << " circuits declared down\n";
+       << fs.partitions << " partitions (" << fs.heals << " healed)\n";
     os << "recovery: " << sum.request_timeouts << " request timeouts, " << sum.faults_failed
        << " faults failed, " << sum.degraded_acks + sum.degraded_invalidations
        << " acks forgiven (degraded), " << sum.ops_failed << " ops failed\n";

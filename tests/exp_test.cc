@@ -152,6 +152,16 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
          fp.plan.RecoverAt(5 * msim::kMillisecond, 1);  // never crashed
          s->fault_plans = {fp};
        }},
+      // Every event must change something when it fires: this link was
+      // never cut and this site never paused.
+      {R"({"fault_plans": [{"name": "p", "events": [)"
+       R"({"kind": "heal", "at_ms": 5, "site": 0, "peer": 1},)"
+       R"( {"kind": "resume", "at_ms": 6, "site": 1}]}]})",
+       [](mexp::ExperimentSpec* s) {
+         mexp::FaultPlanSpec fp;
+         fp.plan.HealAt(5 * msim::kMillisecond, 0, 1).ResumeAt(6 * msim::kMillisecond, 1);
+         s->fault_plans = {fp};
+       }},
       // Sites a fault plan names must exist at every point: the default
       // sites axis is {2}.
       {R"({"fault_plans": [{"name": "p",)"
@@ -451,6 +461,27 @@ TEST(ExperimentRunner, OneRunReportHookAgreesWithSweepPointForLossyPingPong) {
   spec.rounds = 40;
   spec.max_time_s = 900;
   ExpectOneRunPathAgrees(spec);
+}
+
+// ExecuteRun's Li-suite branches (matrix, dot, tsp) each finish a small
+// instance, check it against the workload's host-side oracle and time it.
+TEST(ExecuteRun, LiSuiteBranchesCompleteAndVerify) {
+  for (const char* workload : {"matrix", "dot", "tsp"}) {
+    mexp::RunConfig cfg;
+    cfg.workload = workload;
+    cfg.sites = 2;
+    cfg.matrix_n = 8;
+    cfg.dot_length = 512;
+    cfg.tsp_cities = 6;
+    const mexp::RunResult r = mexp::ExecuteRun(cfg);
+    ASSERT_TRUE(r.ok) << workload << ": " << r.error;
+    EXPECT_EQ(r.metrics.at("completed"), 1.0) << workload;
+    EXPECT_EQ(r.metrics.at("verified"), 1.0) << workload;
+    EXPECT_GT(r.metrics.at("elapsed_s"), 0.0) << workload;
+    if (std::string(workload) == "tsp") {
+      EXPECT_GT(r.metrics.at("nodes_expanded"), 0.0);
+    }
+  }
 }
 
 TEST(ExperimentRunner, AggregatesAcrossRepetitionsInSpecOrder) {

@@ -405,14 +405,12 @@ TEST_F(FaultTest, BackToBackCrashesForceSecondElection) {
 }
 
 // Regression (pause+crash interaction): packets held for a paused site are
-// dropped — and counted — when the site crashes, and a later stale resume
-// replays nothing.
+// dropped — and counted — when the site crashes. (A later resume would
+// change nothing, so Validate rejects it.)
 TEST_F(FaultTest, CrashWhilePausedDropsHeldPacketsInsteadOfReplaying) {
   WorldOptions opts;
   EnableRecovery(opts);
-  opts.faults.PauseAt(30 * kMillisecond, 1)
-      .CrashAt(80 * kMillisecond, 1)
-      .ResumeAt(120 * kMillisecond, 1);
+  opts.faults.PauseAt(30 * kMillisecond, 1).CrashAt(80 * kMillisecond, 1);
   Boot(2, opts);
   bool wrote = false;
   w->kernel(0).Spawn("writer", Priority::kUser, [this, &wrote](Process* p) -> Task<> {
@@ -437,8 +435,6 @@ TEST_F(FaultTest, CrashWhilePausedDropsHeldPacketsInsteadOfReplaying) {
   EXPECT_EQ(fs.pauses, 1u);
   EXPECT_EQ(fs.crashes, 1u);
   EXPECT_GE(fs.held_dropped_on_crash, 1u);
-  // The resume found the site crashed, not paused: a no-op, no replay.
-  EXPECT_EQ(fs.resumes, 0u);
   EXPECT_GE(w->network().stats().packets_held, 1u);
   EXPECT_GE(w->engine(0)->stats().degraded_acks +
                 w->engine(0)->stats().degraded_invalidations,
@@ -484,10 +480,7 @@ TEST_F(FaultTest, PauseResumeDelaysButCompletes) {
 // after the heal, and the fault completes with no recovery timeouts needed.
 TEST_F(FaultTest, PartitionHealsTransparentlyUnderCircuits) {
   WorldOptions opts;
-  mnet::CircuitOptions copts;
-  copts.force_sequencing = true;
-  copts.max_retransmits = 0;  // never give the circuit up
-  opts.circuit = copts;
+  opts.circuit = mnet::CircuitOptions{};  // no random loss; the partition is the fault
   opts.faults.PartitionAt(5 * kMillisecond, 0, 1).HealAt(300 * kMillisecond, 0, 1);
   Boot(2, opts);
   bool wrote = false;
@@ -506,10 +499,10 @@ TEST_F(FaultTest, PartitionHealsTransparentlyUnderCircuits) {
     read = true;
   });
   ASSERT_TRUE(w->RunUntil([&] { return wrote && read; }, 60 * kSecond));
-  const mnet::CircuitStats& cs = w->network().circuits()->stats();
-  EXPECT_GE(cs.down_drops, 1u);
-  EXPECT_GE(cs.retransmits, 1u);
-  EXPECT_EQ(cs.circuits_failed, 0u);
+  const mnet::CircuitStats* cs = w->network().circuit_stats();
+  ASSERT_NE(cs, nullptr);
+  EXPECT_GE(cs->down_drops, 1u);
+  EXPECT_GE(cs->retransmits, 1u);
   EXPECT_EQ(w->faults()->stats().partitions, 1u);
   EXPECT_EQ(w->faults()->stats().heals, 1u);
 }
@@ -575,37 +568,71 @@ TEST_F(FaultTest, DeterministicAcrossIdenticalFaultedRuns) {
   EXPECT_EQ(a, b);
 }
 
-// A fault plan whose RecoverAt targets a site that is not crashed at that
-// moment is rejected up front — by Validate, and by the world boot that
-// schedules it.
+// A fault plan with an event that would change nothing when it fires — a
+// RecoverAt whose target is not crashed, a resume of an unpaused site, a
+// heal of an uncut link, and so on for every kind — is rejected up front,
+// by Validate and by the world boot that schedules it. The error names the
+// first such event's kind, time and site.
 TEST_F(FaultTest, RecoverAtTargetingLiveSiteThrows) {
-  FaultPlan no_crash;
-  no_crash.RecoverAt(100 * kMillisecond, 1);
+  const msim::Time t = 50 * kMillisecond;
+  struct Case {
+    FaultPlan plan;
+    const char* first_no_op;
+  };
+  std::vector<Case> cases(12);
+  cases[0].plan.RecoverAt(2 * t, 1);
+  cases[0].first_no_op = "RECOVER at 100000us on site 1";
+  cases[1].plan.RecoverAt(t, 1).CrashAt(2 * t, 1);  // the recover fires first
+  cases[1].first_no_op = "RECOVER at 50000us on site 1";
+  cases[2].plan.CrashAt(t, 1).RecoverAt(2 * t, 1).RecoverAt(4 * t, 1);
+  cases[2].first_no_op = "RECOVER at 200000us on site 1";
+  cases[3].plan.CrashAt(t, 1).CrashAt(2 * t, 1);
+  cases[3].first_no_op = "CRASH at 100000us on site 1";
+  cases[4].plan.CrashAt(t, 1).PauseAt(2 * t, 1);
+  cases[4].first_no_op = "PAUSE at 100000us on site 1";
+  cases[5].plan.PauseAt(t, 1).PauseAt(2 * t, 1);
+  cases[5].first_no_op = "PAUSE at 100000us on site 1";
+  cases[6].plan.ResumeAt(t, 1);
+  cases[6].first_no_op = "RESUME at 50000us on site 1";
+  // A crash supersedes a pause, so nothing is left to resume.
+  cases[7].plan.PauseAt(t, 1).CrashAt(2 * t, 1).ResumeAt(3 * t, 1);
+  cases[7].first_no_op = "RESUME at 150000us on site 1";
+  cases[8].plan.PartitionAt(t, 0, 1).PartitionAt(2 * t, 1, 0);  // one link, both ways
+  cases[8].first_no_op = "PARTITION at 100000us on link 1-0";
+  cases[9].plan.HealAt(t, 0, 1);
+  cases[9].first_no_op = "HEAL at 50000us on link 0-1";
+  cases[10].plan.PartitionAt(t, 0, 1).HealAt(2 * t, 0, 1).HealAt(3 * t, 0, 1);
+  cases[10].first_no_op = "HEAL at 150000us on link 0-1";
+  // The later events are listed first: order is by time, not by the plan.
+  cases[11].plan.ResumeAt(6 * t, 1).HealAt(5 * t, 0, 1);
+  cases[11].first_no_op = "HEAL at 250000us on link 0-1";
+  for (const Case& c : cases) {
+    std::string err;
+    EXPECT_FALSE(c.plan.Validate(2, &err)) << c.first_no_op;
+    EXPECT_NE(err.find(c.first_no_op), std::string::npos) << err;
+    EXPECT_NE(err.find("changes nothing"), std::string::npos) << err;
+    WorldOptions opts;
+    EnableRecovery(opts);
+    opts.faults = c.plan;
+    EXPECT_THROW(World(2, std::move(opts)), std::invalid_argument) << c.first_no_op;
+  }
+
+  // Every kind is legal where it changes something, however often it recurs.
+  FaultPlan cycles;
+  cycles.CrashAt(t, 1)
+      .RecoverAt(2 * t, 1)
+      .CrashAt(3 * t, 1)
+      .RecoverAt(4 * t, 1)
+      .PauseAt(5 * t, 1)
+      .ResumeAt(6 * t, 1)
+      .PauseAt(7 * t, 1)
+      .ResumeAt(8 * t, 1)
+      .PartitionAt(t, 0, 1)
+      .HealAt(2 * t, 1, 0)
+      .PartitionAt(3 * t, 1, 0)
+      .HealAt(4 * t, 0, 1);
   std::string err;
-  EXPECT_FALSE(no_crash.Validate(2, &err));
-  EXPECT_NE(err.find("not crashed"), std::string::npos) << err;
-
-  FaultPlan too_early;  // the recover fires before the crash does
-  too_early.RecoverAt(50 * kMillisecond, 1).CrashAt(100 * kMillisecond, 1);
-  EXPECT_FALSE(too_early.Validate(2, &err));
-
-  FaultPlan double_recover;
-  double_recover.CrashAt(50 * kMillisecond, 1)
-      .RecoverAt(100 * kMillisecond, 1)
-      .RecoverAt(200 * kMillisecond, 1);
-  EXPECT_FALSE(double_recover.Validate(2, &err));
-
-  FaultPlan cycle;  // crash → recover → crash → recover is legal
-  cycle.CrashAt(50 * kMillisecond, 1)
-      .RecoverAt(100 * kMillisecond, 1)
-      .CrashAt(200 * kMillisecond, 1)
-      .RecoverAt(300 * kMillisecond, 1);
-  EXPECT_TRUE(cycle.Validate(2, &err)) << err;
-
-  WorldOptions opts;
-  EnableRecovery(opts);
-  opts.faults.RecoverAt(100 * kMillisecond, 1);
-  EXPECT_THROW(World(2, std::move(opts)), std::invalid_argument);
+  EXPECT_TRUE(cycles.Validate(2, &err)) << err;
 }
 
 // A fault plan that names a site the world does not have — as the target of
