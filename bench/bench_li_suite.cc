@@ -7,7 +7,6 @@
 // copies replicate the inputs and most computation runs at memory speed.
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
 #include "src/baseline/li_engine.h"
 #include "src/trace/table.h"
@@ -22,10 +21,7 @@ msysv::WorldOptions Backend(bool mirage_backend, msim::Duration window) {
   if (mirage_backend) {
     opts.protocol.default_window_us = window;
   } else {
-    opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                              mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
-      return std::make_unique<mbase::LiEngine>(k, reg);
-    };
+    opts.backend_factory = mbase::MakeLiEngine;
   }
   return opts;
 }

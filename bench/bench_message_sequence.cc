@@ -3,10 +3,12 @@
 // (paper: 9 messages per cycle — 6 short, 3 page-carrying — giving the
 // ~109 ms/cycle raw bound).
 #include <cstdio>
+#include <iostream>
 #include <map>
 #include <string>
-#include <iostream>
+#include <vector>
 
+#include "src/mirage/protocol.h"
 #include "src/trace/table.h"
 #include "src/workload/pingpong.h"
 
@@ -19,23 +21,30 @@ int main() {
   prm.rounds = 6;
   prm.use_yield = true;
   auto result = mwork::LaunchPingPong(world, prm);
+  // Every delivered message, with its kind and whether it carries a page:
+  // page-carrying messages are the ones the cost model charges as large.
+  struct Delivery {
+    msim::Time time;
+    const char* kind;
+    bool large;
+  };
+  std::vector<Delivery> deliveries;
+  world.network().AddObserver([&deliveries, &world](const mnet::Packet& pkt, msim::Time t) {
+    deliveries.push_back({t, mirage::MsgKindName(static_cast<mirage::MsgKind>(pkt.type)),
+                          world.costs().IsLarge(pkt.size_bytes)});
+  });
   world.RunUntil([&] { return result->completed(); }, 60 * msim::kSecond);
 
   // Count messages over the steady-state cycles (skip the warm-up cycle).
-  const auto& events = world.tracer().events();
   std::map<std::string, int> by_kind;
   int shorts = 0;
   int larges = 0;
   msim::Time steady_start = result->start_time +
                             (result->end_time - result->start_time) / prm.rounds;
-  for (const auto& e : events) {
-    if (e.category == "msg" && e.time >= steady_start) {
-      ++by_kind[e.detail.substr(0, e.detail.find(' '))];
-      if (e.detail.find("(576 bytes)") != std::string::npos) {
-        ++larges;
-      } else {
-        ++shorts;
-      }
+  for (const Delivery& d : deliveries) {
+    if (d.time >= steady_start) {
+      ++by_kind[d.kind];
+      ++(d.large ? larges : shorts);
     }
   }
   double cycles = prm.rounds - 1;
@@ -46,7 +55,7 @@ int main() {
                         2 * (result->end_time - result->start_time) / prm.rounds;
   msim::Time c3_end = result->start_time +
                       3 * (result->end_time - result->start_time) / prm.rounds;
-  for (const auto& e : events) {
+  for (const auto& e : world.tracer().events()) {
     if (e.time >= c3_start && e.time <= c3_end &&
         (e.category == "msg" || e.category == "fault" || e.category == "upgrade" ||
          e.category == "downgrade" || e.category == "invalidate")) {

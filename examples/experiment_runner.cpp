@@ -60,11 +60,9 @@
 //   --max-time-s=600         per-run simulated-time cap
 //
 // Any fault plan enables the protocol recovery timeouts (request backoff,
-// ack timeouts, op deadline) and, under --loss, forced sequencing, so
-// healed partitions recover by retransmission. Specs from flags and from
-// --spec files pass the same range checks (ExperimentSpec::Validate); a
-// site named by --lib or a fault flag must be below the smallest --sites
-// value.
+// ack timeouts, op deadline). Specs from flags and from --spec files pass
+// the same range checks (ExperimentSpec::Validate); a site named by --lib
+// or a fault flag must be below the smallest --sites value.
 //
 // Execution and output:
 //   --threads=N     worker threads (default: hardware concurrency). The

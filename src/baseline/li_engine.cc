@@ -14,6 +14,12 @@ using mmem::ForEachSite;
 LiEngine::LiEngine(mos::Kernel* kernel, mirage::SegmentRegistry* registry)
     : kernel_(kernel), registry_(registry) {}
 
+std::unique_ptr<mmem::DsmBackend> MakeLiEngine(mos::Kernel* kernel,
+                                               mirage::SegmentRegistry* registry,
+                                               mtrace::Tracer* /*tracer*/) {
+  return std::make_unique<LiEngine>(kernel, registry);
+}
+
 void LiEngine::Start() {
   kernel_->SetPacketHandler(
       [this](mos::Process* self, mnet::Packet pkt) { return HandlePacket(self, std::move(pkt)); });

@@ -25,6 +25,10 @@
 #include "src/mirage/registry.h"
 #include "src/os/kernel.h"
 
+namespace mtrace {
+class Tracer;
+}  // namespace mtrace
+
 namespace mbase {
 
 enum class LiMsg : std::uint32_t {
@@ -149,6 +153,12 @@ class LiEngine : public mmem::DsmBackend {
 
   LiStats stats_;
 };
+
+// A msysv::WorldOptions::backend_factory that gives every site a LiEngine,
+// so a World runs the Li/Hudak protocol instead of Mirage.
+std::unique_ptr<mmem::DsmBackend> MakeLiEngine(mos::Kernel* kernel,
+                                               mirage::SegmentRegistry* registry,
+                                               mtrace::Tracer* tracer);
 
 }  // namespace mbase
 

@@ -1,8 +1,5 @@
 #include "src/exp/report.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "src/mirage/invariants.h"
 #include "src/sysv/world.h"
 #include "src/trace/table.h"
@@ -51,12 +48,6 @@ Json HistogramToJson(const mtrace::LatencyHistogram& h) {
   j.Set("p99_ms", Json(h.PercentileMs(0.99)));
   j.Set("max_ms", Json(h.MaxMs()));
   return j;
-}
-
-std::string SeedString(std::uint64_t seed) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, seed);
-  return buf;
 }
 
 // Human-readable point key, also used to match points across reports.

@@ -59,10 +59,7 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
     opts.protocol.op_timeout_us = 2 * msim::kSecond;
   }
   if (cfg.baseline) {
-    opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                              mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
-      return std::make_unique<mbase::LiEngine>(k, reg);
-    };
+    opts.backend_factory = mbase::MakeLiEngine;
   }
   return opts;
 }
@@ -170,7 +167,7 @@ RunResult ExecuteRun(const RunConfig& cfg, const WorldHook& on_finish) {
     bool aborted = false;
     auto run_until = [&](const std::function<bool()>& done) {
       try {
-        return world.RunUntil(done, cfg.max_time_us);
+        return world.RunUntil(done, cfg.max_time_s * msim::kSecond);
       } catch (const msysv::PageFaultError&) {
         aborted = true;
         return false;
@@ -226,8 +223,8 @@ RunResult ExecuteRun(const RunConfig& cfg, const WorldHook& on_finish) {
       auto r = mwork::LaunchSpinlock(world, prm);
       completed = run_until([&] { return r->completed; });
       out.metrics["throughput"] = r->SectionsPerSecond();
-      out.metrics["mutex_held"] =
-          r->final_counter == static_cast<std::uint64_t>(2 * 30 * 4) ? 1.0 : 0.0;
+      const auto writes = static_cast<std::uint64_t>(2 * prm.sections * prm.writes_per_section);
+      out.metrics["mutex_held"] = r->final_counter == writes ? 1.0 : 0.0;
     } else if (cfg.workload == "scalability") {
       mwork::ScalabilityParams prm;
       prm.rounds = cfg.rounds;

@@ -32,7 +32,7 @@ struct PointResult {
 
 struct ExperimentReport {
   ExperimentSpec spec;
-  std::vector<PointResult> points;  // spec nesting order
+  std::vector<PointResult> points;  // expansion order
   int failed_runs = 0;              // runs that threw (RunResult::ok == false)
 };
 

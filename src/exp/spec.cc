@@ -12,14 +12,6 @@ namespace mexp {
 
 namespace {
 
-Json IntArray(const std::vector<std::int64_t>& v) {
-  Json a = Json::Array();
-  for (std::int64_t x : v) {
-    a.Push(Json(x));
-  }
-  return a;
-}
-
 template <typename T>
 Json NumArray(const std::vector<T>& v) {
   Json a = Json::Array();
@@ -70,78 +62,54 @@ std::vector<RunConfig> ExperimentSpec::Expand() const {
   if (plans.empty()) {
     plans.emplace_back();  // the implicit fault-free "none" plan
   }
-
+  const int reps = repetitions < 1 ? 1 : repetitions;
+  const int points = PointCount();
   std::vector<RunConfig> out;
-  int point = 0;
-  int run_index = 0;
-  int reps = repetitions < 1 ? 1 : repetitions;
-  for (int s : sites) {
-    for (std::int64_t d : delta_ms) {
-      for (int q : quantum_ticks) {
-        for (std::uint32_t sb : segment_bytes) {
-          for (double l : loss) {
-            for (int k : replicas) {
-              for (double zs : zipf_s) {
-                for (double gm : get_mix) {
-                  for (int kvr : kv_replicas) {
-                    for (const std::string& cp : cost_presets) {
-                    for (const FaultPlanSpec& fp : plans) {
-                      for (int r = 0; r < reps; ++r) {
-                        RunConfig cfg;
-                        cfg.point = point;
-                        cfg.rep = r;
-                        cfg.run_index = run_index;
-                        cfg.workload = workload;
-                        cfg.sites = s;
-                        cfg.delta_ms = d;
-                        cfg.quantum_ticks = q;
-                        cfg.segment_bytes = sb;
-                        cfg.loss = l;
-                        cfg.replicas = k;
-                        cfg.zipf_s = zs;
-                        cfg.get_mix = gm;
-                        cfg.kv_replicas = kvr;
-                        cfg.cost_preset = cp;
-                        cfg.fault_plan = fp.name;
-                        cfg.faults = fp.plan;
-                        cfg.seed = DeriveSeed(seed, run_index);
-                        if (!phase_offsets_ms.empty()) {
-                          cfg.start_offset_us = phase_offsets_ms[r % phase_offsets_ms.size()] *
-                                                msim::kMillisecond;
-                        }
-                        cfg.library_site = library_site;
-                        cfg.iterations = iterations;
-                        cfg.rounds = rounds;
-                        cfg.matrix_n = matrix_n;
-                        cfg.dot_length = dot_length;
-                        cfg.tsp_cities = tsp_cities;
-                        cfg.with_background = with_background;
-                        cfg.use_yield = use_yield;
-                        cfg.parallel_lib = parallel_lib;
-                        cfg.baseline = baseline;
-                        cfg.max_time_us = max_time_s * msim::kSecond;
-                        cfg.kv_keys = kv_keys;
-                        cfg.kv_value_words = kv_value_words;
-                        cfg.kv_arrival_per_s = kv_arrival_per_s;
-                        cfg.kv_ops_per_site = kv_ops_per_site;
-                        cfg.kv_workers = kv_workers;
-                        cfg.kv_shards = kv_shards;
-                        out.push_back(std::move(cfg));
-                        ++run_index;
-                      }
-                      ++point;
-                    }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
+  for (int point = 0; point < points; ++point) {
+    // The point index is a mixed-radix number, one digit per axis. Each
+    // pick takes the lowest remaining digit, so the axes are picked fastest
+    // first: the reverse of their order in ExperimentSpec.
+    std::size_t rest = static_cast<std::size_t>(point);
+    auto pick = [&rest](const auto& axis) -> const auto& {
+      const auto& value = axis[rest % axis.size()];
+      rest /= axis.size();
+      return value;
+    };
+    RunConfig cfg;
+    static_cast<Tunables&>(cfg) = *this;
+    cfg.point = point;
+    const FaultPlanSpec& fp = pick(plans);
+    cfg.fault_plan = fp.name;
+    cfg.faults = fp.plan;
+    cfg.cost_preset = pick(cost_presets);
+    cfg.kv_replicas = pick(kv_replicas);
+    cfg.get_mix = pick(get_mix);
+    cfg.zipf_s = pick(zipf_s);
+    cfg.replicas = pick(replicas);
+    cfg.loss = pick(loss);
+    cfg.segment_bytes = pick(segment_bytes);
+    cfg.quantum_ticks = pick(quantum_ticks);
+    cfg.delta_ms = pick(delta_ms);
+    cfg.sites = pick(sites);
+    for (int r = 0; r < reps; ++r) {
+      cfg.rep = r;
+      cfg.run_index = point * reps + r;
+      cfg.seed = DeriveSeed(seed, cfg.run_index);
+      if (!phase_offsets_ms.empty()) {
+        cfg.start_offset_us =
+            phase_offsets_ms[static_cast<std::size_t>(r) % phase_offsets_ms.size()] *
+            msim::kMillisecond;
       }
+      out.push_back(cfg);
     }
   }
   return out;
+}
+
+std::string SeedString(std::uint64_t seed) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, seed);
+  return buf;
 }
 
 Json FaultPlanToJson(const FaultPlanSpec& fp) {
@@ -215,7 +183,7 @@ Json ExperimentSpec::ToJson() const {
   j.Set("name", Json(name));
   j.Set("workload", Json(workload));
   j.Set("sites", NumArray(sites));
-  j.Set("delta_ms", IntArray(delta_ms));
+  j.Set("delta_ms", NumArray(delta_ms));
   j.Set("quantum_ticks", NumArray(quantum_ticks));
   j.Set("segment_bytes", NumArray(segment_bytes));
   j.Set("loss", NumArray(loss));
@@ -239,10 +207,8 @@ Json ExperimentSpec::ToJson() const {
     j.Set("fault_plans", std::move(plans));
   }
   j.Set("repetitions", Json(repetitions));
-  j.Set("phase_offsets_ms", IntArray(phase_offsets_ms));
-  char seedbuf[32];
-  std::snprintf(seedbuf, sizeof(seedbuf), "0x%016" PRIx64, seed);
-  j.Set("seed", Json(std::string(seedbuf)));
+  j.Set("phase_offsets_ms", NumArray(phase_offsets_ms));
+  j.Set("seed", Json(SeedString(seed)));
   j.Set("library_site", Json(library_site));
   j.Set("iterations", Json(iterations));
   j.Set("rounds", Json(rounds));
@@ -375,6 +341,11 @@ bool ExperimentSpec::Validate(std::string* error) const {
     return fail("library_site must be in 0.." + std::to_string(min_sites - 1) +
                 " (below the smallest sites value)");
   }
+  for (std::int64_t d : delta_ms) {
+    if (d < 0) {
+      return fail("delta_ms values must be >= 0");
+    }
+  }
   for (const std::string& cp : cost_presets) {
     mnet::CostModel unused;
     if (!mnet::CostModel::FromName(cp, &unused)) {
@@ -411,6 +382,21 @@ bool ExperimentSpec::Validate(std::string* error) const {
     if (!fp.plan.Validate(min_sites, &why)) {
       return fail("fault plan '" + fp.name + "': " + why);
     }
+  }
+  if (max_time_s < 1) {
+    return fail("max_time_s must be >= 1");
+  }
+  if (kv_keys < 1) {
+    return fail("kv_keys must be >= 1");
+  }
+  if (kv_value_words < 1) {
+    return fail("kv_value_words must be >= 1");
+  }
+  if (!(kv_arrival_per_s > 0.0)) {  // also rejects NaN
+    return fail("kv_arrival_per_s must be > 0");
+  }
+  if (tsp_cities < 2) {
+    return fail("tsp_cities must be >= 2");
   }
   return true;
 }

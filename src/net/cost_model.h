@@ -57,11 +57,16 @@ struct CostModel {
   // so it defaults off in mirage::ProtocolOptions.
   msim::Duration invalidation_retry_threshold_us = 12900;
 
+  // The large-message rule: such a message carries a page in the paper's
+  // accounting, and is charged the large costs.
+  bool IsLarge(std::uint32_t payload_bytes) const {
+    return payload_bytes >= large_threshold_bytes;
+  }
   msim::Duration TxCost(std::uint32_t payload_bytes) const {
-    return payload_bytes >= large_threshold_bytes ? tx_large_us : tx_short_us;
+    return IsLarge(payload_bytes) ? tx_large_us : tx_short_us;
   }
   msim::Duration RxCost(std::uint32_t payload_bytes) const {
-    return payload_bytes >= large_threshold_bytes ? rx_large_us : rx_short_us;
+    return IsLarge(payload_bytes) ? rx_large_us : rx_short_us;
   }
 
   // The minimum simulated time between deciding to send any message and its

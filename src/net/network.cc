@@ -88,7 +88,7 @@ void Network::Release(Packet pkt) {
     return;
   }
   ++stats_.packets;
-  if (pkt.size_bytes >= costs_->large_threshold_bytes) {
+  if (costs_->IsLarge(pkt.size_bytes)) {
     ++stats_.large_packets;
   } else {
     ++stats_.short_packets;

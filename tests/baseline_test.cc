@@ -3,8 +3,6 @@
 // like-for-like run against Mirage.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/baseline/li_engine.h"
 #include "src/sysv/world.h"
 
@@ -19,10 +17,7 @@ using msysv::WorldOptions;
 
 WorldOptions LiOptions() {
   WorldOptions opts;
-  opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                            mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
-    return std::make_unique<mbase::LiEngine>(k, reg);
-  };
+  opts.backend_factory = mbase::MakeLiEngine;
   return opts;
 }
 

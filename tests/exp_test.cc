@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
@@ -17,28 +18,57 @@
 
 namespace {
 
+// Two values on each of the eleven axes: bit k of the point index picks
+// axis k's value, counting from the fault plan (bit 0, fastest) up to sites
+// (bit 10, slowest). Repetitions are contiguous and innermost, and every run
+// carries the spec's tunables and the seed of its run index.
 TEST(ExperimentSpec, ExpandIsGridTimesRepsInFixedOrder) {
   mexp::ExperimentSpec spec;
   spec.sites = {2, 4};
   spec.delta_ms = {0, 100};
+  spec.quantum_ticks = {6, 3};
+  spec.segment_bytes = {512, 1024};
   spec.loss = {0.0, 0.5};
+  spec.replicas = {1, 2};
+  spec.zipf_s = {0.0, 0.9};
+  spec.get_mix = {0.95, 0.5};
+  spec.kv_replicas = {1, 2};
+  spec.cost_presets = {"ethernet1989", "rdma"};
+  mexp::FaultPlanSpec crash;
+  crash.name = "crash";
+  crash.plan.CrashAt(50 * msim::kMillisecond, 1);
+  spec.fault_plans = {mexp::FaultPlanSpec{}, crash};
   spec.repetitions = 3;
-  EXPECT_EQ(spec.PointCount(), 8);
-  std::vector<mexp::RunConfig> runs = spec.Expand();
-  ASSERT_EQ(runs.size(), 24u);
-  // Nesting order: sites > delta > quantum > segment_bytes > loss > plan,
-  // reps contiguous and innermost.
-  EXPECT_EQ(runs[0].sites, 2);
-  EXPECT_EQ(runs[0].delta_ms, 0);
-  EXPECT_EQ(runs[0].loss, 0.0);
-  EXPECT_EQ(runs[2].rep, 2);
-  EXPECT_EQ(runs[3].loss, 0.5);
-  EXPECT_EQ(runs[3].rep, 0);
-  EXPECT_EQ(runs[6].delta_ms, 100);
-  EXPECT_EQ(runs[12].sites, 4);
+  spec.seed = 7;
+  spec.rounds = 5;
+  spec.kv_keys = 64;
+  spec.max_time_s = 30;
+  EXPECT_EQ(spec.PointCount(), 2048);
+  const std::vector<mexp::RunConfig> runs = spec.Expand();
+  ASSERT_EQ(runs.size(), 3u * 2048u);
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].run_index, static_cast<int>(i));
-    EXPECT_EQ(runs[i].point, static_cast<int>(i) / 3);
+    const mexp::RunConfig& r = runs[i];
+    const int index = static_cast<int>(i);
+    const int point = index / 3;
+    auto bit = [point](int k) { return static_cast<std::size_t>((point >> k) & 1); };
+    ASSERT_EQ(r.point, point);
+    ASSERT_EQ(r.rep, index % 3);
+    ASSERT_EQ(r.run_index, index);
+    ASSERT_EQ(r.seed, mexp::ExperimentSpec::DeriveSeed(7, index));
+    ASSERT_TRUE(static_cast<const mexp::Tunables&>(r) ==
+                static_cast<const mexp::Tunables&>(spec)) << i;
+    ASSERT_EQ(r.fault_plan, spec.fault_plans[bit(0)].name) << i;
+    ASSERT_EQ(r.faults.events().size(), bit(0)) << i;
+    ASSERT_EQ(r.cost_preset, spec.cost_presets[bit(1)]) << i;
+    ASSERT_EQ(r.kv_replicas, spec.kv_replicas[bit(2)]) << i;
+    ASSERT_EQ(r.get_mix, spec.get_mix[bit(3)]) << i;
+    ASSERT_EQ(r.zipf_s, spec.zipf_s[bit(4)]) << i;
+    ASSERT_EQ(r.replicas, spec.replicas[bit(5)]) << i;
+    ASSERT_EQ(r.loss, spec.loss[bit(6)]) << i;
+    ASSERT_EQ(r.segment_bytes, spec.segment_bytes[bit(7)]) << i;
+    ASSERT_EQ(r.quantum_ticks, spec.quantum_ticks[bit(8)]) << i;
+    ASSERT_EQ(r.delta_ms, spec.delta_ms[bit(9)]) << i;
+    ASSERT_EQ(r.sites, spec.sites[bit(10)]) << i;
   }
 }
 
@@ -68,46 +98,81 @@ TEST(ExperimentSpec, PhaseOffsetsCycleThroughRepetitions) {
   EXPECT_EQ(runs[3].start_offset_us, 0);  // wraps
 }
 
+// Every spec field is set away from its default, and the spec survives
+// ToJson -> FromJson -> ToJson byte for byte.
 TEST(ExperimentSpec, JsonRoundTripPreservesGridAndSeed) {
   mexp::ExperimentSpec spec;
   spec.name = "roundtrip";
   spec.workload = "scalability";
-  spec.sites = {3, 6, 12};  // the fault plan below names site 2
-  spec.delta_ms = {0, 50};
+  spec.sites = {3, 6, 12};  // the fault plan below names sites 1 and 2
+  spec.delta_ms = {10, 50};
+  spec.quantum_ticks = {3, 9};
+  spec.segment_bytes = {1024};
   spec.loss = {0.0, 0.02};
-  spec.repetitions = 2;
-  spec.seed = 0xDEADBEEFCAFEF00DULL;
-  spec.rounds = 5;
+  spec.replicas = {1, 3};
+  spec.zipf_s = {0.5, 1.1};
+  spec.get_mix = {0.25};
+  spec.kv_replicas = {2};
+  spec.cost_presets = {"rdma", "ethernet1989"};
   mexp::FaultPlanSpec fp;
   fp.name = "crash1";
   fp.plan.CrashAt(50 * msim::kMillisecond, 1);
   fp.plan.PartitionAt(100 * msim::kMillisecond, 0, 2);
+  fp.plan.RecoverAt(150 * msim::kMillisecond, 1);
+  fp.plan.PauseAt(200 * msim::kMillisecond, 2);
+  fp.plan.ResumeAt(300 * msim::kMillisecond, 2);
   fp.plan.HealAt(400 * msim::kMillisecond, 0, 2);
   spec.fault_plans.push_back(fp);
+  spec.repetitions = 2;
+  spec.phase_offsets_ms = {5, 170};
+  spec.seed = 0xDEADBEEFCAFEF00DULL;
+  spec.library_site = 2;
+  spec.iterations = 1234;
+  spec.rounds = 5;
+  spec.matrix_n = 16;
+  spec.dot_length = 512;
+  spec.tsp_cities = 6;
+  spec.with_background = true;
+  spec.use_yield = false;
+  spec.parallel_lib = true;
+  spec.baseline = true;
+  spec.max_time_s = 45;
+  spec.kv_keys = 64;
+  spec.kv_value_words = 8;
+  spec.kv_arrival_per_s = 240.5;
+  spec.kv_ops_per_site = 77;
+  spec.kv_workers = 2;
+  spec.kv_shards = 3;
 
-  std::string text = spec.ToJson().ToString();
+  const std::string text = spec.ToJson().ToString();
   std::string error;
   mexp::Json parsed = mexp::Json::Parse(text, &error);
   ASSERT_TRUE(error.empty()) << error;
+  // Every member differs from the default spec's, so no field can pass the
+  // round trip by falling back to its default.
+  const mexp::Json defaults = mexp::ExperimentSpec().ToJson();
+  EXPECT_EQ(parsed.size(), defaults.size() + 2);  // + cost_presets, fault_plans
+  for (const auto& [key, value] : defaults.members()) {
+    const mexp::Json* set = parsed.Find(key);
+    ASSERT_NE(set, nullptr) << key;
+    EXPECT_NE(set->ToString(), value.ToString()) << key;
+  }
   mexp::ExperimentSpec back;
   ASSERT_TRUE(mexp::ExperimentSpec::FromJson(parsed, &back, &error)) << error;
-  EXPECT_EQ(back.name, "roundtrip");
-  EXPECT_EQ(back.workload, "scalability");
-  EXPECT_EQ(back.sites, spec.sites);
-  EXPECT_EQ(back.delta_ms, spec.delta_ms);
-  EXPECT_EQ(back.loss, spec.loss);
+  EXPECT_EQ(back.ToJson().ToString(), text);
+  EXPECT_TRUE(static_cast<const mexp::Tunables&>(back) ==
+              static_cast<const mexp::Tunables&>(spec));
   EXPECT_EQ(back.seed, spec.seed);  // hex-string seeds survive exactly
-  EXPECT_EQ(back.rounds, 5);
+  // Fault plans survive exactly: the failover experiments depend on the
+  // crash hitting the same site at the same tick after a round-trip.
   ASSERT_EQ(back.fault_plans.size(), 1u);
-  EXPECT_EQ(back.fault_plans[0].name, "crash1");
-  ASSERT_EQ(back.fault_plans[0].plan.events().size(), 3u);
-  // Library-crash plans survive exactly: the failover experiments depend on
-  // the crash hitting the same site at the same tick after a round-trip.
-  EXPECT_EQ(back.fault_plans[0].plan.events()[0].kind, mfault::FaultKind::kCrashSite);
-  EXPECT_EQ(back.fault_plans[0].plan.events()[0].at_us, 50 * msim::kMillisecond);
-  EXPECT_EQ(back.fault_plans[0].plan.events()[0].site, 1);
-  EXPECT_EQ(back.fault_plans[0].plan.events()[2].kind, mfault::FaultKind::kHealLink);
-  EXPECT_EQ(back.fault_plans[0].plan.events()[2].peer, 2);
+  const std::vector<mfault::FaultEvent>& events = back.fault_plans[0].plan.events();
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].kind, mfault::FaultKind::kCrashSite);
+  EXPECT_EQ(events[0].at_us, 50 * msim::kMillisecond);
+  EXPECT_EQ(events[0].site, 1);
+  EXPECT_EQ(events[5].kind, mfault::FaultKind::kHealLink);
+  EXPECT_EQ(events[5].peer, 2);
   // And the round-tripped spec expands to the same runs.
   EXPECT_EQ(back.Expand().size(), spec.Expand().size());
   EXPECT_EQ(back.Expand()[3].seed, spec.Expand()[3].seed);
@@ -193,6 +258,18 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
          s->sites = {4, 2};
          s->library_site = 3;
        }},
+      // Values a run cannot use: an empty key space or value, a tour of
+      // fewer than two cities and a zero or negative arrival rate crash or
+      // misbehave; a zero time cap runs nothing; a negative Delta runs at 0.
+      {R"({"kv_keys": 0})", [](mexp::ExperimentSpec* s) { s->kv_keys = 0; }},
+      {R"({"kv_value_words": 0})", [](mexp::ExperimentSpec* s) { s->kv_value_words = 0; }},
+      {R"({"tsp_cities": 0})", [](mexp::ExperimentSpec* s) { s->tsp_cities = 0; }},
+      {R"({"tsp_cities": 1})", [](mexp::ExperimentSpec* s) { s->tsp_cities = 1; }},
+      {R"({"kv_arrival_per_s": 0})", [](mexp::ExperimentSpec* s) { s->kv_arrival_per_s = 0.0; }},
+      {R"({"kv_arrival_per_s": -5})",
+       [](mexp::ExperimentSpec* s) { s->kv_arrival_per_s = -5.0; }},
+      {R"({"max_time_s": 0})", [](mexp::ExperimentSpec* s) { s->max_time_s = 0; }},
+      {R"({"delta_ms": [0, -50]})", [](mexp::ExperimentSpec* s) { s->delta_ms = {0, -50}; }},
   };
   std::string error;
   EXPECT_TRUE(mexp::ExperimentSpec().Validate(&error)) << error;
@@ -212,6 +289,9 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
   mexp::ExperimentSpec empty_axis;
   empty_axis.delta_ms.clear();
   EXPECT_FALSE(empty_axis.Validate(&error));
+  mexp::ExperimentSpec nan_rate;  // --rate=nan; JSON has no NaN
+  nan_rate.kv_arrival_per_s = std::nan("");
+  EXPECT_FALSE(nan_rate.Validate(&error));
 }
 
 TEST(ExperimentSpec, PresetsAreValidAndNamed) {
@@ -223,6 +303,14 @@ TEST(ExperimentSpec, PresetsAreValidAndNamed) {
     EXPECT_TRUE(spec->Validate(&error)) << name << ": " << error;
   }
   EXPECT_FALSE(mexp::Preset("fig9").has_value());
+}
+
+TEST(ExperimentRunner, ThreadsDefaultsToHardwareConcurrencyAndKeepsAnExplicitCount) {
+  EXPECT_EQ(mexp::ExperimentRunner(3).threads(), 3);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int expected = hw == 0 ? 1 : static_cast<int>(hw);
+  EXPECT_EQ(mexp::ExperimentRunner().threads(), expected);
+  EXPECT_EQ(mexp::ExperimentRunner(-2).threads(), expected);
 }
 
 TEST(EngineStats, AccumulateAddsCountersAndMaxesQueuePeak) {

@@ -4,8 +4,6 @@
 // so these are deep end-to-end coherence tests as much as workloads.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/baseline/li_engine.h"
 #include "src/workload/dotproduct.h"
 #include "src/workload/matrix.h"
@@ -19,10 +17,7 @@ using msysv::WorldOptions;
 
 WorldOptions LiBackend() {
   WorldOptions opts;
-  opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                            mtrace::Tracer*) -> std::unique_ptr<mmem::DsmBackend> {
-    return std::make_unique<mbase::LiEngine>(k, reg);
-  };
+  opts.backend_factory = mbase::MakeLiEngine;
   return opts;
 }
 
