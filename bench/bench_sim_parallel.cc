@@ -9,15 +9,23 @@
 //    traffic — so the recorded ratio tracks the overhead floor: windowed
 //    fork-join must never make the smallest world pathologically slower.
 //  - parallel_multiseg_w{2,4}: a scalematrix-style world — 32 sites, 16
-//    independent read-writers pairs, each pair on its own segment. Pairs
-//    never share pages, so partitions only synchronize at window barriers;
-//    this is the shape the parallel core exists for, and its 4-worker
-//    speedup is the gated headline number (target on a >= 4-core host:
-//    >= 1.5x).
+//    independent read-writers pairs, pair i on sites 2i and 2i+1 and its
+//    own segment. The partition map deals sites out in contiguous blocks,
+//    so both sites of a pair share a partition: a pair's page transfers
+//    still run as coordinator serial steps, but every window has work on
+//    every partition. This is the shape the parallel core exists for, and
+//    its 4-worker speedup is the gated headline number (target on a
+//    >= 4-core host: >= 1.5x).
 //  - parallel_multiseg_local_w{2,4}: the same 32-site world with both
 //    processes of each pair colocated on one site, so no page ever leaves
 //    its home — the embarrassingly-parallel upper bound for the windowed
 //    core (every event executes inside a multi-partition window).
+//
+// Each row also prints the parallel run's Simulator::ParallelStats —
+// windows, windows with one active partition, coordinator serial steps,
+// and the coordinator's host milliseconds at the window barrier and in the
+// merge — and the JSON rows carry them, so a slow row can be diagnosed
+// without instrumenting the simulator.
 //
 // Speedup gates are hardware-aware: a w-worker ratio is only compared
 // against the baseline when std::thread::hardware_concurrency() >= w.
@@ -43,7 +51,6 @@
 //                                       regresses more than --tolerance
 //                                       (default 0.25) below the baseline
 //   bench_sim_parallel --quick          single measurement rep (smoke runs)
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -66,11 +73,13 @@ double SecondsSince(WallClock::time_point t0) {
 }
 
 // One completed world run: the wall-clock cost plus the determinism
-// fingerprint that must match the serial run bit-for-bit.
+// fingerprint that must match the serial run bit-for-bit, and what the
+// parallel loop did (Simulator::ParallelStats; all zero when serial).
 struct RunSample {
   double wall_seconds = 0.0;
   msim::Time sim_now = 0;
   std::uint64_t sim_events = 0;
+  msim::Simulator::ParallelStats stats;
 };
 
 struct Scenario {
@@ -115,6 +124,7 @@ RunSample RunScenario(const Scenario& sc, int workers) {
   s.wall_seconds = SecondsSince(t0);
   s.sim_now = world.sim().Now();
   s.sim_events = world.sim().ProcessedEvents();
+  s.stats = world.sim().parallel_stats();
   for (const auto& r : results) {
     if (!r->completed()) {
       std::fprintf(stderr, "bench_sim_parallel: %s did not complete at workers=%d\n",
@@ -126,7 +136,8 @@ RunSample RunScenario(const Scenario& sc, int workers) {
 }
 
 // Best-of-N wall clock (interference only slows runs down), with the
-// fingerprint checked on every rep.
+// fingerprint checked on every rep. The window counts are the same on every
+// rep; the host seconds are the fastest rep's.
 RunSample Measure(const Scenario& sc, int workers, int reps) {
   RunSample best = RunScenario(sc, workers);
   for (int i = 1; i < reps; ++i) {
@@ -136,7 +147,9 @@ RunSample Measure(const Scenario& sc, int workers, int reps) {
                    sc.name.c_str(), workers);
       std::exit(1);
     }
-    best.wall_seconds = std::min(best.wall_seconds, s.wall_seconds);
+    if (s.wall_seconds < best.wall_seconds) {
+      best = s;
+    }
   }
   return best;
 }
@@ -149,6 +162,7 @@ struct BenchResult {
   bool gated = false;
   double wall_seconds = 0.0;
   std::uint64_t sim_events = 0;
+  msim::Simulator::ParallelStats stats;  // of the parallel run
 };
 
 mexp::Json ToJson(const std::vector<BenchResult>& results) {
@@ -166,6 +180,12 @@ mexp::Json ToJson(const std::vector<BenchResult>& results) {
     j.Set("gated", r.gated);
     j.Set("wall_seconds", r.wall_seconds);
     j.Set("sim_events", static_cast<double>(r.sim_events));
+    j.Set("windows", static_cast<double>(r.stats.windows));
+    j.Set("single_partition_windows", static_cast<double>(r.stats.single_partition_windows));
+    j.Set("serial_steps", static_cast<double>(r.stats.serial_steps));
+    j.Set("window_events", static_cast<double>(r.stats.window_events));
+    j.Set("barrier_wait_s", r.stats.barrier_wait_s);
+    j.Set("merge_s", r.stats.merge_s);
     arr.Push(std::move(j));
   }
   root.Set("benchmarks", std::move(arr));
@@ -248,7 +268,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<BenchResult> results;
-  std::printf("%-22s %12s %12s %9s\n", "benchmark", "wall (ms)", "events/s", "speedup");
+  std::printf("%-26s %10s %12s %8s %8s %7s %8s %9s %9s\n", "benchmark", "wall (ms)", "events/s",
+              "speedup", "windows", "single", "serial", "wait (ms)", "merge (ms)");
   for (const Scenario& sc : scenarios) {
     const RunSample serial = Measure(sc, 1, reps);
     for (int w : {2, 4}) {
@@ -281,9 +302,14 @@ int main(int argc, char** argv) {
       }
       r.wall_seconds = par.wall_seconds;
       r.sim_events = par.sim_events;
+      r.stats = par.stats;
       results.push_back(r);
-      std::printf("%-22s %12.2f %12.0f %8.2fx\n", r.name.c_str(), r.wall_seconds * 1e3,
-                  r.events_per_sec, r.speedup);
+      std::printf("%-26s %10.2f %12.0f %7.2fx %8llu %7llu %8llu %9.2f %9.2f\n", r.name.c_str(),
+                  r.wall_seconds * 1e3, r.events_per_sec, r.speedup,
+                  static_cast<unsigned long long>(r.stats.windows),
+                  static_cast<unsigned long long>(r.stats.single_partition_windows),
+                  static_cast<unsigned long long>(r.stats.serial_steps),
+                  r.stats.barrier_wait_s * 1e3, r.stats.merge_s * 1e3);
     }
   }
 

@@ -5,12 +5,21 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/mem/page.h"
 #include "src/net/cost_model.h"
 #include "src/sim/random.h"
 
 namespace mexp {
 
 namespace {
+
+// Upper bounds on the sizes a run allocates. Far above any experiment's, they
+// exist to reject a negative flag value that wrapped to a huge unsigned one.
+constexpr std::uint32_t kMaxSegmentBytes = 16u << 20;
+constexpr std::uint32_t kMaxKvKeys = 1u << 20;
+constexpr std::uint32_t kMaxKvOpsPerSite = 10000000;
+// A hash-map slot (key, version, value) must fit in one page.
+constexpr std::uint32_t kMaxKvValueWords = mmem::kPageSize / 4 - 2;
 
 template <typename T>
 Json NumArray(const std::vector<T>& v) {
@@ -346,6 +355,11 @@ bool ExperimentSpec::Validate(std::string* error) const {
       return fail("delta_ms values must be >= 0");
     }
   }
+  for (std::uint32_t b : segment_bytes) {
+    if (b < 1 || b > kMaxSegmentBytes) {
+      return fail("segment_bytes values must be in 1.." + std::to_string(kMaxSegmentBytes));
+    }
+  }
   for (const std::string& cp : cost_presets) {
     mnet::CostModel unused;
     if (!mnet::CostModel::FromName(cp, &unused)) {
@@ -386,11 +400,17 @@ bool ExperimentSpec::Validate(std::string* error) const {
   if (max_time_s < 1) {
     return fail("max_time_s must be >= 1");
   }
-  if (kv_keys < 1) {
-    return fail("kv_keys must be >= 1");
+  if (kv_keys < 1 || kv_keys > kMaxKvKeys) {
+    return fail("kv_keys must be in 1.." + std::to_string(kMaxKvKeys));
   }
-  if (kv_value_words < 1) {
-    return fail("kv_value_words must be >= 1");
+  if (kv_ops_per_site > kMaxKvOpsPerSite) {
+    return fail("kv_ops_per_site must be <= " + std::to_string(kMaxKvOpsPerSite));
+  }
+  if (kv_shards > kMaxKvKeys) {
+    return fail("kv_shards must be <= " + std::to_string(kMaxKvKeys) + " (0: one per site)");
+  }
+  if (kv_value_words < 1 || kv_value_words > kMaxKvValueWords) {
+    return fail("kv_value_words must be in 1.." + std::to_string(kMaxKvValueWords));
   }
   if (!(kv_arrival_per_s > 0.0)) {  // also rejects NaN
     return fail("kv_arrival_per_s must be > 0");

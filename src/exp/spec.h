@@ -143,11 +143,13 @@ struct ExperimentSpec : Tunables {
 
   // The range checks every spec passes before it runs, whether it came
   // from a JSON file or from CLI flags: a known workload, non-empty axes,
-  // sites in 1..512, delta_ms >= 0, loss and get_mix in [0, 1], replicas
-  // and kv_replicas in 1..12, zipf_s >= 0, known cost presets,
-  // self-consistent fault plans, and tunables a run can use (max_time_s,
-  // kv_keys and kv_value_words >= 1, kv_arrival_per_s > 0,
-  // tsp_cities >= 2).
+  // sites in 1..512, delta_ms >= 0, segment_bytes in 1..16 MiB, loss and
+  // get_mix in [0, 1], replicas and kv_replicas in 1..12, zipf_s >= 0,
+  // known cost presets, self-consistent fault plans, and tunables a run can
+  // use (max_time_s >= 1, kv_keys in 1..2^20, kv_value_words in 1..126 so a
+  // slot fits a page, kv_ops_per_site <= 10^7, kv_shards <= 2^20,
+  // kv_arrival_per_s > 0, tsp_cities >= 2). The upper bounds also catch a
+  // negative value that wrapped to a huge unsigned one.
   // Returns false and sets *error on the first violation.
   bool Validate(std::string* error) const;
 

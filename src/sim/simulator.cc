@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +11,65 @@ namespace msim {
 namespace {
 
 constexpr Time kMaxTime = std::numeric_limits<Time>::max();
+
+using HostClock = std::chrono::steady_clock;
+
+double SecondsSince(HostClock::time_point t0) {
+  return std::chrono::duration<double>(HostClock::now() - t0).count();
+}
+
+// The window barrier's spin (DESIGN.md §12.2): a waiter polls with a CPU
+// pause kPauseSpins times, then yields until kSpinFor has passed, then
+// parks. A window and the serial steps between two windows last tens to
+// hundreds of microseconds, so most waits end while spinning and neither
+// side pays a futex sleep and wake — on a virtual machine, a parked
+// thread's idle vCPU can take longer to wake than the window lasted.
+constexpr int kPauseSpins = 64;
+constexpr std::chrono::microseconds kSpinFor{1000};
+
+// Threads that execute windows, summed over every simulator with a live
+// pool; each pool's coordinator counts, since it runs partition 1.
+std::atomic<int> g_window_threads{0};
+
+// Spinning only pays while every window thread has a core to itself. With
+// more (say, several experiment-runner threads each driving a parallel
+// world) a spinner burns the core the thread it waits for needs, so
+// waiters park at once.
+bool SpinAllowed() {
+  static const int cores = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  return g_window_threads.load(std::memory_order_relaxed) <= cores;
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `word` no longer holds `seen`: spins while SpinAllowed(), then
+// parks.
+void AwaitChange(const std::atomic<std::uint32_t>& word, std::uint32_t seen) {
+  if (SpinAllowed()) {
+    for (int i = 0; i < kPauseSpins; ++i) {
+      if (word.load(std::memory_order_acquire) != seen) {
+        return;
+      }
+      CpuRelax();
+    }
+    const HostClock::time_point give_up = HostClock::now() + kSpinFor;
+    while (word.load(std::memory_order_acquire) == seen) {
+      if (HostClock::now() >= give_up) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  while (word.load(std::memory_order_acquire) == seen) {
+    word.wait(seen, std::memory_order_acquire);
+  }
+}
 
 // Identifies the partition a worker thread (or the coordinator, while it runs
 // a window inline) is executing. Thread-local so Simulator::Now() and
@@ -389,14 +449,11 @@ bool Simulator::TryRunAhead(Duration delay) {
 
 // ---- Conservative parallel execution (DESIGN.md §12) ----
 
-void Simulator::SetWorkers(int n) {
-  if (n < 1) {
-    n = 1;
-  }
-  if (n > kMaxWorkers) {
-    n = kMaxWorkers;
-  }
-  if (n == workers_) {
+void Simulator::SetWorkers(int n, int sites) {
+  n = std::clamp(n, 1, kMaxWorkers);
+  const auto block_sites =
+      static_cast<std::uint32_t>(n > 1 ? std::clamp(sites, n, int{kMaxSiteDomain}) : 1);
+  if (n == workers_ && block_sites == block_sites_) {
     return;
   }
   if (n > 1 && controller_ != nullptr) {
@@ -413,6 +470,7 @@ void Simulator::SetWorkers(int n) {
   }
   StopPool();
   workers_ = n;
+  block_sites_ = block_sites;
   queues_.clear();
   queues_.resize(n > 1 ? static_cast<std::size_t>(n) + 1 : 1);
   if (n > 1) {
@@ -515,6 +573,7 @@ std::uint64_t Simulator::RunParallel(Time deadline, std::uint64_t max_events, bo
     // and home-queue events always land).
     FireTop(queues_[best]);
     ++n;
+    ++pstats_.serial_steps;
   }
   if (advance_clock && !stop_requested_ && now_ < deadline) {
     now_ = deadline;
@@ -532,24 +591,30 @@ std::uint64_t Simulator::ExecuteWindow(Time horizon, int active, std::uint32_t o
     q.error = nullptr;
   }
   parallel_phase_ = true;
+  ++pstats_.windows;
   if (active == 1) {
     // One partition has work below the horizon: run its window inline and
     // skip the thread fan-out (still the window code path, so behaviour is
     // identical — only the wall-clock differs).
+    ++pstats_.single_partition_windows;
     RunQueueWindow(only_queue, horizon);
   } else {
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      ++epoch_;
-      pending_workers_ = workers_ - 1;
-    }
-    pool_cv_.notify_all();
+    pending_.store(static_cast<std::uint32_t>(workers_ - 1), std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     RunQueueWindow(1, horizon);  // the coordinator is partition 1's worker
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    done_cv_.wait(lk, [this] { return pending_workers_ == 0; });
+    const HostClock::time_point wait_start = HostClock::now();
+    for (std::uint32_t left = pending_.load(std::memory_order_acquire); left != 0;
+         left = pending_.load(std::memory_order_acquire)) {
+      AwaitChange(pending_, left);
+    }
+    pstats_.barrier_wait_s += SecondsSince(wait_start);
   }
   parallel_phase_ = false;
+  const HostClock::time_point merge_start = HostClock::now();
   const std::uint64_t fired = MergeWindow();
+  pstats_.merge_s += SecondsSince(merge_start);
+  pstats_.window_events += fired;
   processed_ += fired;
   for (int i = 1; i <= workers_; ++i) {
     if (queues_[i].error) {
@@ -658,13 +723,13 @@ std::uint64_t Simulator::MergeWindow() {
   return fired;
 }
 
+// No pool thread exists here (the last StopPool joined them all), so plain
+// stores suffice: starting a thread orders them before its first read.
 void Simulator::StartPool() {
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    shutdown_ = false;
-    epoch_ = 0;
-    pending_workers_ = 0;
-  }
+  shutdown_ = false;
+  epoch_.store(0, std::memory_order_relaxed);
+  pending_.store(0, std::memory_order_relaxed);
+  g_window_threads.fetch_add(workers_, std::memory_order_relaxed);
   pool_.reserve(static_cast<std::size_t>(workers_) - 1);
   // The coordinator doubles as partition 1's executor; threads take 2..n.
   for (int i = 2; i <= workers_; ++i) {
@@ -676,36 +741,28 @@ void Simulator::StopPool() {
   if (pool_.empty()) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    shutdown_ = true;
-  }
-  pool_cv_.notify_all();
+  shutdown_ = true;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (std::thread& t : pool_) {
     t.join();
   }
+  g_window_threads.fetch_sub(static_cast<int>(pool_.size()) + 1, std::memory_order_relaxed);
   pool_.clear();
 }
 
 void Simulator::WorkerMain(std::uint32_t qi) {
-  std::uint64_t seen_epoch = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      pool_cv_.wait(lk, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) {
-        return;
-      }
-      seen_epoch = epoch_;
+    AwaitChange(epoch_, seen);
+    seen = epoch_.load(std::memory_order_acquire);
+    if (shutdown_) {
+      return;
     }
     RunQueueWindow(qi, horizon_);
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      last = --pending_workers_ == 0;
-    }
-    if (last) {
-      done_cv_.notify_one();
+    // The last partition to finish wakes the coordinator if it parked.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      pending_.notify_one();
     }
   }
 }

@@ -21,25 +21,25 @@
 // own follow-up when the dispatcher would fire that next anyway, so a
 // process computing alone skips the queue round trip per compute slice.
 //
-// Parallel execution (DESIGN.md §12): SetWorkers(n > 1) partitions the event
-// space into n per-partition queues (site domain d -> partition d % n) plus
-// one home queue for untagged and non-site events, and executes conservative
+// Parallel execution (DESIGN.md §12): SetWorkers(n > 1, sites) partitions the
+// event space into n per-partition queues — site domains split into n
+// contiguous blocks, so neighbouring sites share a partition — plus one home
+// queue for untagged and non-site events, and executes conservative
 // lookahead windows: whenever every cross-partition interaction is provably
 // later than now + lookahead (network sends fence themselves via
 // BeginSendFence with their cost-model transmit time as the lower bound),
-// all events below that horizon fire concurrently, one thread per partition.
-// A replay merge then reassigns the globally-consistent (time, seq) order the
-// serial simulator would have produced, so reports and traces stay
-// byte-identical at any worker count. Serial mode (n == 1, the default) is
-// the unchanged single-queue hot path.
+// all events below that horizon fire concurrently, one thread per partition,
+// meeting at a spin-then-park barrier. A replay merge then reassigns the
+// globally-consistent (time, seq) order the serial simulator would have
+// produced, so reports and traces stay byte-identical at any worker count.
+// Serial mode (n == 1, the default) is the unchanged single-queue hot path.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -186,11 +186,34 @@ class Simulator {
   // ---- Conservative parallel execution (DESIGN.md §12) ----
 
   // Switches to `n` worker threads (1 = serial, the default; clamped to
-  // kMaxWorkers). Must be called with no pending events (events already
-  // routed under the old partition count cannot be re-homed) and never with
-  // a ScheduleController installed — both misuses throw std::logic_error.
-  void SetWorkers(int n);
+  // kMaxWorkers). Site domains 0..sites-1 go to the n partitions in
+  // contiguous blocks (domain d to partition 1 + d * n / sites), so
+  // neighbouring sites run on one thread; domains at or past `sites` wrap.
+  // `sites` below n (the default, 0, included) counts as n, which puts
+  // domain d on partition 1 + d % n. Must be called with no pending events
+  // (events already routed under the old partition count cannot be
+  // re-homed) and never with a ScheduleController installed — both misuses
+  // throw std::logic_error.
+  void SetWorkers(int n, int sites = 0);
   int workers() const { return workers_; }
+
+  // What the parallel loop did since construction (all zero in serial
+  // mode): a diagnosis aid, never part of a report.
+  struct ParallelStats {
+    std::uint64_t windows = 0;
+    // Windows in which only one partition had work: it ran inline on the
+    // coordinator, with no fan-out and no barrier.
+    std::uint64_t single_partition_windows = 0;
+    // Events the coordinator fired one at a time between windows (network
+    // deliveries, home-queue events, fenced sends).
+    std::uint64_t serial_steps = 0;
+    std::uint64_t window_events = 0;
+    // Coordinator host seconds spent waiting at the window barrier after
+    // its own partition was done, and replaying windows in MergeWindow.
+    double barrier_wait_s = 0.0;
+    double merge_s = 0.0;
+  };
+  const ParallelStats& parallel_stats() const { return pstats_; }
 
   // The conservative lookahead: the minimum simulated time that must pass
   // between scheduling any cross-partition interaction and its effect (for
@@ -293,7 +316,8 @@ class Simulator {
     if (workers_ <= 1 || d < 0 || d >= kMaxSiteDomain) {
       return 0;
     }
-    return 1 + static_cast<std::uint32_t>(d) % static_cast<std::uint32_t>(workers_);
+    const std::uint32_t site = static_cast<std::uint32_t>(d) % block_sites_;
+    return 1 + site * static_cast<std::uint32_t>(workers_) / block_sites_;
   }
 
   std::uint32_t AcquireSlot(Queue& q, EventFn fn, EventDomain domain);
@@ -365,15 +389,18 @@ class Simulator {
 
   // ---- Parallel state ----
   int workers_ = 1;
+  std::uint32_t block_sites_ = 1;  // site domains split into workers_ blocks
   Duration lookahead_ = 0;
   bool parallel_phase_ = false;  // a window is executing right now
   Time horizon_ = 0;
+  ParallelStats pstats_;
   std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;   // coordinator -> workers: new window
-  std::condition_variable done_cv_;   // workers -> coordinator: window done
-  std::uint64_t epoch_ = 0;
-  int pending_workers_ = 0;
+  // The window barrier. The coordinator publishes horizon_ (and shutdown_)
+  // and then bumps epoch_ to start a window; each pool thread counts
+  // pending_ down when its partition is done. Release/acquire on these two
+  // words orders every handoff of queue state between threads.
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> pending_{0};
   bool shutdown_ = false;
 };
 

@@ -47,7 +47,7 @@ World::World(int num_sites, WorldOptions opts)
   // to their partition at schedule time), i.e. before kernels start.
   const int sim_workers = ResolveSimWorkers(opts, num_sites);
   if (sim_workers > 1) {
-    sim_.SetWorkers(sim_workers);
+    sim_.SetWorkers(sim_workers, num_sites);
     sim_.SetMinLookahead(costs_.MinSendLatency());
   }
   tracer_.SetEnabled(opts.enable_trace);

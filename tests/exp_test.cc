@@ -270,6 +270,18 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
        [](mexp::ExperimentSpec* s) { s->kv_arrival_per_s = -5.0; }},
       {R"({"max_time_s": 0})", [](mexp::ExperimentSpec* s) { s->max_time_s = 0; }},
       {R"({"delta_ms": [0, -50]})", [](mexp::ExperimentSpec* s) { s->delta_ms = {0, -50}; }},
+      // Sizes past what a run can allocate, as a negative flag value wraps
+      // to: --keys=-1, --kvops=-1 and --segbytes=-1 all read 4294967295.
+      {R"({"kv_keys": -1})", [](mexp::ExperimentSpec* s) { s->kv_keys = 4294967295u; }},
+      {R"({"kv_keys": 1048577})", [](mexp::ExperimentSpec* s) { s->kv_keys = 1048577; }},
+      {R"({"kv_ops_per_site": -1})",
+       [](mexp::ExperimentSpec* s) { s->kv_ops_per_site = 4294967295u; }},
+      {R"({"segment_bytes": [512, 4294967295]})",
+       [](mexp::ExperimentSpec* s) { s->segment_bytes = {512, 4294967295u}; }},
+      {R"({"segment_bytes": [0]})", [](mexp::ExperimentSpec* s) { s->segment_bytes = {0}; }},
+      {R"({"kv_shards": -1})", [](mexp::ExperimentSpec* s) { s->kv_shards = 4294967295u; }},
+      // A hash-map slot of 127 value words no longer fits one page.
+      {R"({"kv_value_words": 127})", [](mexp::ExperimentSpec* s) { s->kv_value_words = 127; }},
   };
   std::string error;
   EXPECT_TRUE(mexp::ExperimentSpec().Validate(&error)) << error;

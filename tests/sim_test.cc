@@ -2,9 +2,12 @@
 // cancellation, serial run-ahead, and coroutine tasks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
+#include <functional>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -712,20 +715,25 @@ WorldOutcome Outcome(msysv::World& world, std::vector<double> results) {
   return o;
 }
 
+// Everything but the run-ahead count, which depends on the dispatcher.
+void ExpectSameWorld(const WorldOutcome& a, const WorldOutcome& b) {
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.now, b.now);
+  EXPECT_GT(a.packets, 0u);
+  EXPECT_EQ(a.packets, b.packets);
+  EXPECT_EQ(a.packets_by_type, b.packets_by_type);
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t s = 0; s < a.kernels.size(); ++s) {
+    EXPECT_TRUE(a.kernels[s] == b.kernels[s]) << "KernelStats of site " << s;
+    EXPECT_TRUE(a.engines[s] == b.engines[s]) << "EngineStats of site " << s;
+  }
+  EXPECT_EQ(a.results, b.results);
+}
+
 void ExpectSameOutcome(const WorldOutcome& plain, const WorldOutcome& fifo) {
   EXPECT_GT(plain.ran_ahead, 0u);
   EXPECT_EQ(fifo.ran_ahead, 0u);
-  EXPECT_EQ(plain.events, fifo.events);
-  EXPECT_EQ(plain.now, fifo.now);
-  EXPECT_GT(plain.packets, 0u);
-  EXPECT_EQ(plain.packets, fifo.packets);
-  EXPECT_EQ(plain.packets_by_type, fifo.packets_by_type);
-  ASSERT_EQ(plain.kernels.size(), fifo.kernels.size());
-  for (std::size_t s = 0; s < plain.kernels.size(); ++s) {
-    EXPECT_TRUE(plain.kernels[s] == fifo.kernels[s]) << "KernelStats of site " << s;
-    EXPECT_TRUE(plain.engines[s] == fifo.engines[s]) << "EngineStats of site " << s;
-  }
-  EXPECT_EQ(plain.results, fifo.results);
+  ExpectSameWorld(plain, fifo);
 }
 
 WorldOutcome RunReadWritersWorld(msim::ScheduleController* ctrl) {
@@ -792,6 +800,162 @@ TEST(SimulatorRunAhead, ReplicatedRingWorldMatchesControlledFifo) {
 TEST(SimulatorRunAhead, KvStoreWorldMatchesControlledFifo) {
   FifoController fifo;
   ExpectSameOutcome(RunKvStoreWorld(nullptr), RunKvStoreWorld(&fifo));
+}
+
+// ------------------------------------------------------------------------
+// The partition map and the window barrier (DESIGN.md §12.1, §12.2).
+
+struct PairWorldRun {
+  WorldOutcome outcome;
+  std::vector<GoldenPacket> packets;
+  Simulator::ParallelStats stats;
+};
+
+// Eight read-writer pairs on 16 sites, pair p on sites 2p and 2p+1 with its
+// own segment and start offset: the layout of every multi-pair workload.
+PairWorldRun RunPairWorld(int workers) {
+  constexpr int kPairs = 8;
+  msysv::WorldOptions opts;
+  opts.protocol.default_window_us = 16667;  // one tick
+  opts.parallel_ok = true;
+  opts.sim_workers = workers;
+  msysv::World world(2 * kPairs, opts);
+  PairWorldRun run;
+  world.network().AddObserver([&](const mnet::Packet& p, Time t) {
+    run.packets.push_back(
+        GoldenPacket{t, static_cast<int>(p.src), static_cast<int>(p.dst), p.type});
+  });
+  std::vector<std::shared_ptr<mwork::ReadWritersResult>> pairs;
+  for (int p = 0; p < kPairs; ++p) {
+    mwork::ReadWritersParams prm;
+    prm.site_a = 2 * p;
+    prm.site_b = 2 * p + 1;
+    prm.key = 500 + static_cast<std::uint64_t>(p);
+    prm.iterations = 4000;
+    prm.start_offset_us = 1 + 313 * p;
+    pairs.push_back(mwork::LaunchReadWriters(world, prm));
+  }
+  world.RunUntil(
+      [&] {
+        return std::all_of(pairs.begin(), pairs.end(),
+                           [](const auto& r) { return r->completed(); });
+      },
+      120 * msim::kSecond);
+  std::vector<double> results;
+  for (const auto& r : pairs) {
+    EXPECT_TRUE(r->completed());
+    results.push_back(static_cast<double>(r->total_ops()));
+    results.push_back(static_cast<double>(r->start_time()));
+    results.push_back(static_cast<double>(r->end_time()));
+  }
+  EXPECT_EQ(world.sim().workers(), workers);
+  run.outcome = Outcome(world, std::move(results));
+  run.stats = world.sim().parallel_stats();
+  return run;
+}
+
+TEST(SimulatorParallel, MultiPairWorldIdenticalAtAnyWorkerCount) {
+  const PairWorldRun serial = RunPairWorld(1);
+  EXPECT_EQ(serial.stats.windows, 0u);
+  // At 3 workers the blocks are sites 0-5, 6-10 and 11-15, so pair (10, 11)
+  // straddles two partitions.
+  for (int w : {2, 3, 4}) {
+    const PairWorldRun par = RunPairWorld(w);
+    ExpectSameWorld(par.outcome, serial.outcome);
+    ASSERT_EQ(par.packets.size(), serial.packets.size()) << "workers=" << w;
+    for (std::size_t i = 0; i < serial.packets.size(); ++i) {
+      EXPECT_EQ(par.packets[i].at, serial.packets[i].at) << "w=" << w << " packet " << i;
+      EXPECT_EQ(par.packets[i].src, serial.packets[i].src) << "w=" << w << " packet " << i;
+      EXPECT_EQ(par.packets[i].dst, serial.packets[i].dst) << "w=" << w << " packet " << i;
+      EXPECT_EQ(par.packets[i].type, serial.packets[i].type) << "w=" << w << " packet " << i;
+    }
+    EXPECT_GT(par.stats.windows, 0u) << "workers=" << w;
+    EXPECT_EQ(par.stats.window_events + par.stats.serial_steps, par.outcome.events)
+        << "workers=" << w;
+  }
+}
+
+TEST(SimulatorParallel, PairsShareAPartitionSoWindowsFanOut) {
+  // With both sites of a pair in one block, each partition holds four
+  // whole pairs and nearly always has work in a window, even while the
+  // pairs run in lockstep (every writer computing while every reader waits
+  // out Delta).
+  const PairWorldRun run = RunPairWorld(2);
+  ASSERT_GT(run.stats.windows, 100u);
+  EXPECT_LT(run.stats.single_partition_windows * 10, run.stats.windows)
+      << run.stats.single_partition_windows << " of " << run.stats.windows
+      << " windows had one active partition";
+}
+
+// Four site domains, each a chain of events 1-3 us apart (sometimes with a
+// second event at the same instant), and a timer that every event re-arms
+// and so cancels. Domains 1-3 also do a little host work per event and
+// domain 0 none, so the coordinator, which runs domain 0's partition,
+// reaches the barrier first in nearly every window and has to wait there.
+struct DomainChains {
+  std::vector<std::vector<std::pair<Time, int>>> fired;  // times relative to the start
+  std::vector<std::uint64_t> work;
+};
+
+DomainChains RunDomainChains(Simulator& sim) {
+  constexpr int kDomains = 4;
+  constexpr Time kSpan = 12000;
+  const Time start = sim.Now();
+  DomainChains out{std::vector<std::vector<std::pair<Time, int>>>(kDomains),
+                   std::vector<std::uint64_t>(kDomains, 0)};
+  std::vector<Rng> rngs;
+  std::vector<msim::EventId> timers(kDomains, 0);
+  for (int d = 0; d < kDomains; ++d) {
+    rngs.emplace_back(0xBA77 + static_cast<std::uint64_t>(d));
+  }
+  auto log = [&](int d, int label) { out.fired[d].emplace_back(sim.Now() - start, label); };
+  std::function<void(int)> step = [&](int d) {
+    log(d, 0);
+    for (int i = 0; d > 0 && i < 400; ++i) {
+      out.work[d] = out.work[d] * 6364136223846793005ull + 1442695040888963407ull;
+    }
+    sim.Cancel(timers[d]);
+    timers[d] = sim.Schedule(5, d, [&log, d] { log(d, 2); });
+    if (sim.Now() - start >= kSpan) {
+      return;
+    }
+    const Duration next = 1 + static_cast<Duration>(rngs[d].Below(3));
+    if (rngs[d].Below(8) == 0) {
+      sim.Schedule(next, d, [&log, d] { log(d, 1); });
+    }
+    sim.Schedule(next, d, [&step, d] { step(d); });
+  };
+  for (int d = 0; d < kDomains; ++d) {
+    sim.Schedule(static_cast<Duration>(d), d, [&step, d] { step(d); });
+  }
+  sim.Run();
+  return out;
+}
+
+TEST(SimulatorParallel, WindowBarrierKeepsEveryDomainsOrderOverManyWindows) {
+  Simulator serial;
+  const DomainChains want = RunDomainChains(serial);
+  ASSERT_GT(want.fired[0].size(), 4000u);
+
+  Simulator sim;
+  sim.SetWorkers(4);  // domain d on partition d + 1
+  sim.SetMinLookahead(1);
+  for (int round = 0; round < 2; ++round) {
+    const Simulator::ParallelStats before = sim.parallel_stats();
+    const DomainChains got = RunDomainChains(sim);
+    EXPECT_EQ(got.fired, want.fired) << "round " << round;
+    EXPECT_EQ(got.work, want.work) << "round " << round;
+    const Simulator::ParallelStats& after = sim.parallel_stats();
+    const std::uint64_t windows = after.windows - before.windows;
+    const std::uint64_t fanned_out =
+        windows - (after.single_partition_windows - before.single_partition_windows);
+    EXPECT_GE(windows, 10000u) << "round " << round;
+    EXPECT_GE(fanned_out, windows / 2) << "round " << round;
+    // Stop the pool and start a new one between rounds.
+    sim.SetWorkers(1);
+    EXPECT_EQ(sim.workers(), 1);
+    sim.SetWorkers(4);
+  }
 }
 
 }  // namespace
