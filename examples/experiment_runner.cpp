@@ -3,96 +3,21 @@
 // output. Every run goes through mexp::ExecuteRun, so a one-run report and
 // a sweep point with the same parameters measure the same simulation.
 //
-// Usage:
-//   experiment_runner [preset | --spec=FILE.json] [options]
-//
-// Presets (src/exp/spec.cc):
-//   fig8         the paper's Figure 8 Delta sweep (two conflicting
-//                read-writers; matches bench_time_window's numbers)
-//   amelioration §7.3/§8 background-throughput sweep (bench_time_window's
-//                second table)
-//   scalematrix  sites x frame-loss invalidation-scaling matrix
-//                (bench_scalability's sweep, widened with a loss axis)
-//   availability library-site failover sweep: ping-pong with the segment
-//                homed on a pure-controller site (--lib=2), with and
-//                without crashing it mid-run, across site counts and
-//                replication degrees k=1..3 — the fraction of runs that
-//                keep completing measures how well segments survive
-//                controller loss, pages_lost measures what a data-holder
-//                crash destroys at each k, and the fault-free plan prices
-//                the quorum-write latency cost of k
-//   kvstore      open-loop KV serving over dsmlib's DistHashMap: zipf
-//                skew x get/set mix x Delta x data replicas — hot-key
-//                throughput degrades as zipf-s rises and kv_replicas=2
-//                recovers it for read-heavy mixes
-//
-// Axis/override options (comma-separated lists make a grid):
-//   --workload=W             readwriters|pingpong|spinlock|scalability|matrix|dot|tsp|kvstore
-//   --sites=2,4,8            site-count axis
-//   --delta=0,120,600        time-window axis (ms)
-//   --quantum=6              scheduling-quantum axis (ticks)
-//   --segbytes=512           segment-size axis (bytes)
-//   --loss=0,0.02            frame-loss axis (probability; virtual circuits
-//                            retransmit)
-//   --replicas=1,2,3         page-replication-degree axis (1 = single copy)
-//   --zipf=0,0.9,1.3         kvstore key-popularity-skew axis
-//   --mix=0.5,0.95           kvstore get-fraction axis
-//   --kvreplicas=1,2         kvstore data-replication axis (table copies)
-//   --cost=ethernet1989,rdma cost-model preset axis (network/CPU constants)
-//   --keys=N --rate=R --kvops=N
-//                            kvstore key space, per-site arrival rate (/s),
-//                            and generated ops per site
-//   --reps=5                 repetitions per grid point
-//   --offsets=0,170,410      per-repetition start phases (ms)
-//   --seed=N                 spec seed (per-run seeds derive from it)
-//   --iters=N --rounds=N     workload sizes
-//   --no-yield               busy-wait instead of yield() in spin loops
-//   --parallel-lib           concurrent library service of distinct pages
-//   --li                     run over the Li/Hudak protocol, not Mirage
-//   --lib=S                  pre-create the segment at site S (its library
-//                            site) so a crash plan can target a pure
-//                            controller (pingpong/readwriters)
-//   --crash=S@T --pause=S@T1:T2 --cut=A-B@T1:T2
-//                            add one fault plan (repeatable; times in ms)
-//   --recover=T:SITE         revive a crashed site at T ms with amnesia
-//                            (appends to the most recent fault plan, so
-//                            place it after the --crash it undoes)
-//   --max-time-s=600         per-run simulated-time cap
-//
-// Any fault plan enables the protocol recovery timeouts (request backoff,
-// ack timeouts, op deadline). Specs from flags and from --spec files pass
-// the same range checks (ExperimentSpec::Validate); a site named by --lib
-// or a fault flag must be below the smallest --sites value.
-//
-// Execution and output:
-//   --threads=N     worker threads (default: hardware concurrency). The
-//                   report is byte-identical for every N. Independently,
-//                   MIRAGE_SIM_WORKERS=K parallelizes eligible single runs
-//                   inside the simulator (DESIGN.md #12) - also
-//                   byte-identical for every K.
-//   --out=FILE      write the JSON report (default: stdout)
-//   --csv=FILE      also write the long-form CSV
-//   --baseline=FILE diff against a stored JSON report; regressions beyond
-//                   --tolerance (default 0.10) exit non-zero
-//   --quiet         no stderr progress ticker
-//   --report        for a spec that expands to exactly one run: print a
-//                   text report (workload figures, per-site counters,
-//                   fault-latency percentiles, a post-run invariant check
-//                   scoped to live sites, circuit counters) instead of JSON
-//   --trace         with --report, also print the protocol event trace
+// A bad argument (--help, say) prints the usage: the presets, the fault-plan
+// and execution flags, and mexp::Usage(), which lists every spec member with
+// its flag and range. Arguments apply in order, so a flag overrides the
+// preset or --spec file before it. Any fault plan enables the protocol
+// recovery timeouts (request backoff, ack timeouts, op deadline).
 //
 // Exit code: 2 for bad arguments. Otherwise 0, or 1 if a run failed (or, with
 // --report, if the workload did not complete, e.g. EIDRM under faults).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "src/exp/report.h"
@@ -100,31 +25,22 @@
 
 namespace {
 
-// Parses a comma-separated list of numbers (names, for T = std::string)
-// into *out; false on an empty list or an empty item.
-template <typename T>
-bool ParseList(const std::string& arg, std::vector<T>* out) {
-  std::vector<T> vals;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) {
-      return false;
-    }
-    if constexpr (std::is_same_v<T, std::string>) {
-      vals.push_back(item);
-    } else if constexpr (std::is_integral_v<T>) {
-      vals.push_back(static_cast<T>(std::strtoll(item.c_str(), nullptr, 10)));
-    } else {
-      vals.push_back(static_cast<T>(std::strtod(item.c_str(), nullptr)));
-    }
-  }
-  if (vals.empty()) {
-    return false;
-  }
-  *out = std::move(vals);
-  return true;
-}
+constexpr char kUsage[] = R"(usage: experiment_runner [preset | --spec=FILE.json] [flag ...]
+presets (EXPERIMENTS.md): fig8 (Figure 8's Delta sweep), amelioration (§7.3/§8
+  background throughput), scalematrix (sites x frame loss), availability
+  (failover and replicas under crash plans), kvstore (zipf x mix x Delta x copies)
+fault plans, one per flag (times in ms): --crash=S@T  --pause=S@T1:T2
+  --cut=A-B@T1:T2, and --recover=T:S, which revives S in the last plan
+execution and output:
+  --threads=N       worker threads (default: all cores); the same report for any N,
+                    and for any MIRAGE_SIM_WORKERS count of simulator threads
+  --out=FILE        write the JSON report (default: stdout); --csv=FILE adds a CSV
+  --baseline=FILE   diff against a stored report; a regression beyond
+                    --tolerance=X (default 0.10) exits 1
+  --quiet           no stderr progress ticker
+  --report          a text report of a spec that expands to one run, not JSON;
+                    --trace adds the protocol event trace
+)";
 
 // Reads and parses a JSON file; false, with a message, on failure.
 bool ReadJsonFile(const std::string& path, const char* what, mexp::Json* out) {
@@ -174,6 +90,7 @@ void PrintSummary(const mexp::ExperimentReport& report) {
 
 }  // namespace
 
+
 int main(int argc, char** argv) {
   mexp::ExperimentSpec spec;
   int threads = 0;
@@ -185,161 +102,100 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   double tolerance = 0.10;
   int next_plan = 1;
+  auto bad_argument = [](const std::string& why) {
+    std::fprintf(stderr, "%s\n\n%s%s", why.c_str(), kUsage, mexp::Usage().c_str());
+    return 2;
+  };
+  auto add_plan = [&spec, &next_plan](const char* kind) -> mfault::FaultPlan& {
+    mexp::FaultPlanSpec& fp = spec.fault_plans.emplace_back();
+    fp.name = kind + std::to_string(next_plan++);
+    return fp.plan;
+  };
 
   for (int i = 1; i < argc; ++i) {
-    std::string s = argv[i];
-    auto value = [&s]() { return s.substr(s.find('=') + 1); };
-    bool ok = true;
+    const std::string s = argv[i];
+    const std::string value = s.substr(s.find('=') + 1);
+    auto flag = [&s](const char* name) { return s.rfind(name, 0) == 0; };
+    int site = 0, peer = 0, used = -1;  // used: characters sscanf consumed
+    long t1 = 0, t2 = 0;
+    auto whole = [&value, &used] { return used == static_cast<int>(value.size()); };
     if (std::optional<mexp::ExperimentSpec> preset = mexp::Preset(s)) {
       spec = *preset;
-    } else if (s.rfind("--spec=", 0) == 0) {
+    } else if (flag("--spec=")) {
       mexp::Json j;
       std::string error;
-      if (!ReadJsonFile(value(), "spec file", &j)) {
+      if (!ReadJsonFile(value, "spec file", &j)) {
         return 2;
       }
       if (!mexp::ExperimentSpec::FromJson(j, &spec, &error)) {
-        std::fprintf(stderr, "bad spec: %s\n", error.c_str());
-        return 2;
+        return bad_argument("bad spec: " + error);
       }
-    } else if (s.rfind("--workload=", 0) == 0) {
-      spec.workload = value();
-    } else if (s.rfind("--sites=", 0) == 0) {
-      ok = ParseList(value(), &spec.sites);
-    } else if (s.rfind("--delta=", 0) == 0) {
-      ok = ParseList(value(), &spec.delta_ms);
-    } else if (s.rfind("--quantum=", 0) == 0) {
-      ok = ParseList(value(), &spec.quantum_ticks);
-    } else if (s.rfind("--segbytes=", 0) == 0) {
-      ok = ParseList(value(), &spec.segment_bytes);
-    } else if (s.rfind("--loss=", 0) == 0) {
-      ok = ParseList(value(), &spec.loss);
-    } else if (s.rfind("--replicas=", 0) == 0) {
-      ok = ParseList(value(), &spec.replicas);
-    } else if (s.rfind("--zipf=", 0) == 0) {
-      ok = ParseList(value(), &spec.zipf_s);
-    } else if (s.rfind("--mix=", 0) == 0) {
-      ok = ParseList(value(), &spec.get_mix);
-    } else if (s.rfind("--kvreplicas=", 0) == 0) {
-      ok = ParseList(value(), &spec.kv_replicas);
-    } else if (s.rfind("--cost=", 0) == 0) {
-      ok = ParseList(value(), &spec.cost_presets);
-    } else if (s.rfind("--keys=", 0) == 0) {
-      spec.kv_keys = static_cast<std::uint32_t>(std::atol(value().c_str()));
-    } else if (s.rfind("--rate=", 0) == 0) {
-      spec.kv_arrival_per_s = std::atof(value().c_str());
-    } else if (s.rfind("--kvops=", 0) == 0) {
-      spec.kv_ops_per_site = static_cast<std::uint32_t>(std::atol(value().c_str()));
-    } else if (s.rfind("--offsets=", 0) == 0) {
-      ok = ParseList(value(), &spec.phase_offsets_ms);
-    } else if (s.rfind("--reps=", 0) == 0) {
-      spec.repetitions = std::atoi(value().c_str());
-    } else if (s.rfind("--seed=", 0) == 0) {
-      spec.seed = std::strtoull(value().c_str(), nullptr, 0);
-    } else if (s.rfind("--iters=", 0) == 0) {
-      spec.iterations = std::atoi(value().c_str());
-    } else if (s.rfind("--rounds=", 0) == 0) {
-      spec.rounds = std::atoi(value().c_str());
-    } else if (s == "--no-yield") {
-      spec.use_yield = false;
-    } else if (s == "--parallel-lib") {
-      spec.parallel_lib = true;
-    } else if (s == "--li") {
-      spec.baseline = true;
-    } else if (s.rfind("--lib=", 0) == 0) {
-      spec.library_site = std::atoi(value().c_str());
-    } else if (s.rfind("--max-time-s=", 0) == 0) {
-      spec.max_time_s = std::atol(value().c_str());
-    } else if (s.rfind("--crash=", 0) == 0) {
-      int site = 0;
-      long t = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld", &site, &t) != 2) {
-        std::fprintf(stderr, "bad --crash, want S@Tms\n");
-        return 2;
+    } else if (flag("--crash=")) {
+      if (std::sscanf(value.c_str(), "%d@%ld%n", &site, &t1, &used) != 2 || !whole()) {
+        return bad_argument("bad --crash, want S@Tms");
       }
-      mexp::FaultPlanSpec fp;
-      fp.name = "crash" + std::to_string(next_plan++);
-      fp.plan.CrashAt(t * msim::kMillisecond, site);
-      spec.fault_plans.push_back(std::move(fp));
-    } else if (s.rfind("--recover=", 0) == 0) {
-      long t = 0;
-      int site = 0;
-      if (std::sscanf(s.c_str() + 10, "%ld:%d", &t, &site) != 2) {
-        std::fprintf(stderr, "bad --recover, want Tms:SITE\n");
-        return 2;
+      add_plan("crash").CrashAt(t1 * msim::kMillisecond, site);
+    } else if (flag("--recover=")) {
+      if (std::sscanf(value.c_str(), "%ld:%d%n", &t1, &site, &used) != 2 || !whole()) {
+        return bad_argument("bad --recover, want Tms:SITE");
       }
       if (spec.fault_plans.empty()) {
-        std::fprintf(stderr, "--recover needs a preceding --crash plan to extend\n");
-        return 2;
+        return bad_argument("--recover needs a preceding --crash plan to extend");
       }
-      spec.fault_plans.back().plan.RecoverAt(t * msim::kMillisecond, site);
-    } else if (s.rfind("--pause=", 0) == 0) {
-      int site = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld:%ld", &site, &t1, &t2) != 3 || t2 < t1) {
-        std::fprintf(stderr, "bad --pause, want S@T1:T2 ms\n");
-        return 2;
+      spec.fault_plans.back().plan.RecoverAt(t1 * msim::kMillisecond, site);
+    } else if (flag("--pause=")) {
+      if (std::sscanf(value.c_str(), "%d@%ld:%ld%n", &site, &t1, &t2, &used) != 3 || !whole() ||
+          t2 < t1) {
+        return bad_argument("bad --pause, want S@T1:T2 ms");
       }
-      mexp::FaultPlanSpec fp;
-      fp.name = "pause" + std::to_string(next_plan++);
-      fp.plan.PauseAt(t1 * msim::kMillisecond, site).ResumeAt(t2 * msim::kMillisecond, site);
-      spec.fault_plans.push_back(std::move(fp));
-    } else if (s.rfind("--cut=", 0) == 0) {
-      int sa = 0, sb = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 6, "%d-%d@%ld:%ld", &sa, &sb, &t1, &t2) != 4 || t2 < t1) {
-        std::fprintf(stderr, "bad --cut, want A-B@T1:T2 ms\n");
-        return 2;
+      add_plan("pause").PauseAt(t1 * msim::kMillisecond, site).ResumeAt(t2 * msim::kMillisecond,
+                                                                          site);
+    } else if (flag("--cut=")) {
+      if (std::sscanf(value.c_str(), "%d-%d@%ld:%ld%n", &site, &peer, &t1, &t2, &used) != 4 ||
+          !whole() || t2 < t1) {
+        return bad_argument("bad --cut, want A-B@T1:T2 ms");
       }
-      mexp::FaultPlanSpec fp;
-      fp.name = "cut" + std::to_string(next_plan++);
-      fp.plan.PartitionAt(t1 * msim::kMillisecond, sa, sb)
-          .HealAt(t2 * msim::kMillisecond, sa, sb);
-      spec.fault_plans.push_back(std::move(fp));
-    } else if (s.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(value().c_str());
-    } else if (s.rfind("--out=", 0) == 0) {
-      out_path = value();
-    } else if (s.rfind("--csv=", 0) == 0) {
-      csv_path = value();
-    } else if (s.rfind("--baseline=", 0) == 0) {
-      baseline_path = value();
-    } else if (s.rfind("--tolerance=", 0) == 0) {
-      tolerance = std::atof(value().c_str());
+      add_plan("cut")
+          .PartitionAt(t1 * msim::kMillisecond, site, peer)
+          .HealAt(t2 * msim::kMillisecond, site, peer);
+    } else if (flag("--threads=")) {
+      if (!mexp::ParseNumber(value, &threads)) {
+        return bad_argument("bad --threads, want an integer");
+      }
+    } else if (flag("--tolerance=")) {
+      if (!mexp::ParseNumber(value, &tolerance)) {
+        return bad_argument("bad --tolerance, want a number");
+      }
+    } else if (flag("--out=")) {
+      out_path = value;
+    } else if (flag("--csv=")) {
+      csv_path = value;
+    } else if (flag("--baseline=")) {
+      baseline_path = value;
     } else if (s == "--quiet") {
       quiet = true;
     } else if (s == "--report") {
       report_mode = true;
     } else if (s == "--trace") {
       trace = true;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s' (see the header comment for usage)\n",
-                   s.c_str());
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad list in '%s'\n", s.c_str());
-      return 2;
+    } else if (std::string error; !mexp::ApplyFlag(s, &spec, &error)) {
+      return bad_argument(error);
     }
   }
   if (std::string error; !spec.Validate(&error)) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
-    return 2;
+    return bad_argument("bad spec: " + error);
   }
   if (trace && !report_mode) {
-    std::fprintf(stderr, "--trace prints with --report only\n");
-    return 2;
+    return bad_argument("--trace prints with --report only");
   }
   if (report_mode) {
     std::vector<mexp::RunConfig> runs = spec.Expand();
     if (runs.size() != 1) {
-      std::fprintf(stderr, "--report needs a spec that expands to one run, not %zu\n",
-                   runs.size());
-      return 2;
+      return bad_argument("--report needs a spec that expands to one run, not " +
+                          std::to_string(runs.size()));
     }
     if (!out_path.empty() || !csv_path.empty() || !baseline_path.empty()) {
-      std::fprintf(stderr, "--report prints text only (no --out, --csv or --baseline)\n");
-      return 2;
+      return bad_argument("--report prints text only (no --out, --csv or --baseline)");
     }
     mexp::RunConfig& cfg = runs.front();
     cfg.trace = trace;

@@ -1,9 +1,13 @@
 #include "src/exp/spec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
+#include <limits>
+#include <type_traits>
 
 #include "src/mem/page.h"
 #include "src/net/cost_model.h"
@@ -13,50 +17,342 @@ namespace mexp {
 
 namespace {
 
-// Upper bounds on the sizes a run allocates. Far above any experiment's, they
-// exist to reject a negative flag value that wrapped to a huge unsigned one.
-constexpr std::uint32_t kMaxSegmentBytes = 16u << 20;
-constexpr std::uint32_t kMaxKvKeys = 1u << 20;
-constexpr std::uint32_t kMaxKvOpsPerSite = 10000000;
-// A hash-map slot (key, version, value) must fit in one page.
-constexpr std::uint32_t kMaxKvValueWords = mmem::kPageSize / 4 - 2;
+using S = ExperimentSpec;
+using R = RunConfig;
 
 template <typename T>
-Json NumArray(const std::vector<T>& v) {
-  Json a = Json::Array();
-  for (T x : v) {
-    a.Push(Json(static_cast<double>(x)));
-  }
-  return a;
+constexpr SpecField::List<T> List(std::vector<T> S::*values, T R::*run = nullptr) {
+  return {values, run};
 }
 
+constexpr double kIntMax = std::numeric_limits<int>::max();
+constexpr double kNumberMax = std::numeric_limits<double>::max();
+// Simulated time is int64 microseconds. Capping every time at 10^15 ms
+// (about 31,700 years) keeps its conversion, and the sum of two, in range.
+constexpr double kMaxMs = 1e15;
+
+// The spec members in JSON order, axes slowest-changing first. Bounds on
+// sizes a run allocates lie far above any experiment's.
+constexpr SpecField kFields[] = {
+    {"name", nullptr, &S::name, "report name"},
+    {"workload", "--workload", &S::workload,
+     "readwriters, pingpong, spinlock, scalability, matrix, dot, tsp or kvstore"},
+    {"sites", "--sites", List(&S::sites, &R::sites), "site-count axis", 1, 512},
+    {"delta_ms", "--delta", List(&S::delta_ms, &R::delta_ms), "time-window axis, ms", 0, kMaxMs},
+    {"quantum_ticks", "--quantum", List(&S::quantum_ticks, &R::quantum_ticks),
+     "scheduling-quantum axis, ticks", 1, kIntMax},
+    {"segment_bytes", "--segbytes", List(&S::segment_bytes, &R::segment_bytes),
+     "segment-size axis, bytes", 1, 16 << 20},
+    {"loss", "--loss", List(&S::loss, &R::loss), "frame-loss axis (circuits retransmit)", 0, 1},
+    {"replicas", "--replicas", List(&S::replicas, &R::replicas), "page-replica axis", 1, 12},
+    {"zipf_s", "--zipf", List(&S::zipf_s, &R::zipf_s), "kvstore key-skew axis", 0, kNumberMax},
+    {"get_mix", "--mix", List(&S::get_mix, &R::get_mix), "kvstore get-fraction axis", 0, 1},
+    {"kv_replicas", "--kvreplicas", List(&S::kv_replicas, &R::kv_replicas),
+     "kvstore data-replica axis (table copies)", 1, 12},
+    {"cost_presets", "--cost", List(&S::cost_presets, &R::cost_preset),
+     "cost-model axis: ethernet1989 or rdma", 0, 0, /*omit_at_default=*/true},
+    {"fault_plans", nullptr, List(&S::fault_plans), "fault-plan axis (fault flags)", 0, 0,
+     /*omit_at_default=*/true},
+    {"repetitions", "--reps", &S::repetitions, "repetitions per grid point", 1, kIntMax},
+    {"phase_offsets_ms", "--offsets", List(&S::phase_offsets_ms), "start phases, ms", 0, kMaxMs},
+    {"seed", "--seed", &S::seed, "spec seed, decimal or 0x hex; run seeds derive from it"},
+    // And below the smallest sites value, which Validate checks.
+    {"library_site", "--lib", &S::library_site, "site that creates the segment", 0, 511},
+    {"iterations", "--iters", &S::iterations, "read-writers loop iterations", 1, kIntMax},
+    {"rounds", "--rounds", &S::rounds, "ping-pong and scalability rounds", 1, kIntMax},
+    {"matrix_n", nullptr, &S::matrix_n, "matrix size n (n x n)", 1, kIntMax},
+    {"dot_length", nullptr, &S::dot_length, "dot-product vector length", 1, kIntMax},
+    {"tsp_cities", nullptr, &S::tsp_cities, "TSP cities", 2, kIntMax},
+    {"with_background", nullptr, &S::with_background, "add a background compute process"},
+    {"yield", "--no-yield", &S::use_yield, "spin loops yield(); the flag busy-waits"},
+    {"parallel_lib", "--parallel-lib", &S::parallel_lib, "serve distinct pages concurrently"},
+    {"baseline", "--li", &S::baseline, "run the Li/Hudak protocol, not Mirage"},
+    {"max_time_s", "--max-time-s", &S::max_time_s, "simulated time cap, s", 1, kMaxMs / 1000},
+    {"kv_keys", "--keys", &S::kv_keys, "kvstore key space", 1, 1 << 20},
+    // A hash-map slot (key, version, value) must fit in one page.
+    {"kv_value_words", nullptr, &S::kv_value_words, "kvstore value words", 1,
+     mmem::kPageSize / 4.0 - 2},
+    {"kv_arrival_per_s", "--rate", &S::kv_arrival_per_s, "kvstore arrivals per site and s",
+     std::numeric_limits<double>::min(), kNumberMax},
+    {"kv_ops_per_site", "--kvops", &S::kv_ops_per_site, "kvstore ops per site", 1, 1e7},
+    {"kv_workers", nullptr, &S::kv_workers, "kvstore server workers per site", 1, kIntMax},
+    {"kv_shards", nullptr, &S::kv_shards, "kvstore shards (0: one per site)", 0, 1 << 20},
+};
+
 template <typename T>
-bool ReadNumArray(const Json& j, const std::string& key, std::vector<T>* out) {
-  const Json* a = j.Find(key);
-  if (a == nullptr) {
-    return true;  // keep default
+constexpr bool kIsList = requires { typename T::value_type; } && !std::is_same_v<T, std::string>;
+// A number with a range: any arithmetic member but a bool and the seed.
+template <typename T>
+constexpr bool kNumeric =
+    std::is_arithmetic_v<T> && !std::is_same_v<T, bool> && !std::is_same_v<T, std::uint64_t>;
+
+// Calls fn(get), where get(spec) is a reference to f's member of spec (the
+// whole std::vector for a list).
+template <typename Fn>
+decltype(auto) Visit(const SpecField& f, Fn&& fn) {
+  return std::visit(
+      [&fn](auto m) -> decltype(auto) {
+        if constexpr (requires { m.values; }) {
+          return fn([m](auto& spec) -> auto& { return spec.*(m.values); });
+        } else {
+          return fn([m](auto& spec) -> auto& { return spec.*m; });
+        }
+      },
+      f.member);
+}
+template <typename Get>
+using ValueOf = std::decay_t<std::invoke_result_t<Get, const ExperimentSpec&>>;
+
+// Calls fn(values, run) for each axis, fastest-changing first: the reverse
+// of table order.
+template <typename Fn>
+void ForEachAxis(Fn&& fn) {
+  for (auto f = std::rbegin(kFields); f != std::rend(kFields); ++f) {
+    std::visit(
+        [&fn](auto m) {
+          if constexpr (requires { m.run; }) {
+            if (m.run != nullptr) {
+              fn(m.values, m.run);
+            }
+          }
+        },
+        f->member);
   }
-  if (!a->is_array()) {
+}
+
+std::string Range(const SpecField& f) {
+  return "[" + Json::NumberToString(f.min) + ", " + Json::NumberToString(f.max) + "]";
+}
+
+// What a value of f's member, of type T, must be.
+template <typename T>
+std::string Want(const SpecField& f) {
+  if constexpr (std::is_same_v<T, std::vector<FaultPlanSpec>>) {
+    return "a list of fault plans";
+  } else if constexpr (kIsList<T>) {
+    return "a non-empty list, each " + Want<typename T::value_type>(f);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return "a 64-bit integer, decimal or 0x hex";
+  } else if constexpr (kNumeric<T>) {
+    return (std::is_integral_v<T> ? "an integer in " : "a number in ") + Range(f);
+  } else {
+    return std::is_same_v<T, bool> ? "true or false" : "a string";
+  }
+}
+
+std::string Want(const SpecField& f) {
+  return Visit(f, [&f](auto get) { return Want<ValueOf<decltype(get)>>(f); });
+}
+
+// Whether a number is a value of T (for an integer T: integral and in T's
+// range), which it converts to. max() + 1.0 is a power of two, so it is
+// exact where max() itself would round up to it.
+template <typename T>
+bool FromNumber(double v, T* out) {
+  if (std::is_integral_v<T> &&
+      !(v == std::trunc(v) && v >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
     return false;
   }
-  out->clear();
-  for (const Json& v : a->items()) {
-    if (!v.is_number()) {
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// A seed in decimal or in SeedString's hex; a double cannot hold every one.
+bool ParseSeed(std::string_view text, std::uint64_t* out) {
+  const bool hex = text.starts_with("0x") || text.starts_with("0X");
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r =
+      std::from_chars(text.data() + (hex ? 2 : 0), end, *out, hex ? 16 : 10);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
+// A flag value as the JSON that a spec file would hold for a T: a list is
+// comma-separated, and an empty item or one that is no number where a
+// number belongs becomes a null, which Decode rejects.
+template <typename T>
+Json FlagJson(std::string_view text) {
+  if constexpr (kIsList<T>) {
+    Json list = Json::Array();
+    for (std::size_t begin = 0; begin <= text.size();) {
+      const std::size_t comma = std::min(text.find(',', begin), text.size());
+      const std::string_view item = text.substr(begin, comma - begin);
+      list.Push(item.empty() ? Json() : FlagJson<typename T::value_type>(item));
+      begin = comma + 1;
+    }
+    return list;
+  } else if constexpr (kNumeric<T>) {
+    double v = 0.0;
+    return ParseNumber(text, &v) ? Json(v) : Json();
+  } else {
+    return Json(std::string(text));  // a string, or a seed
+  }
+}
+
+// Every value of a number in [f.min, f.max], and at least one in a list
+// (no fault plans is one implicit fault-free plan).
+template <typename T>
+bool InRange(const T& v, const SpecField& f) {
+  if constexpr (kIsList<T>) {
+    return (!v.empty() || std::is_same_v<T, std::vector<FaultPlanSpec>>) &&
+           std::all_of(v.begin(), v.end(), [&f](const auto& x) { return InRange(x, f); });
+  } else if constexpr (kNumeric<T>) {
+    return static_cast<double>(v) >= f.min && static_cast<double>(v) <= f.max;
+  } else {
+    return true;
+  }
+}
+
+// JSON "kind" names, indexed by mfault::FaultKind.
+constexpr const char* kFaultKinds[] = {"crash", "pause", "resume", "cut", "heal", "recover"};
+
+template <typename T>
+Json Encode(const T& v) {
+  if constexpr (kIsList<T>) {
+    Json list = Json::Array();
+    for (const auto& x : v) {
+      list.Push(Encode(x));
+    }
+    return list;
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return Json(SeedString(v));
+  } else if constexpr (kNumeric<T>) {
+    return Json(static_cast<double>(v));
+  } else if constexpr (std::is_same_v<T, FaultPlanSpec>) {
+    Json events = Json::Array();
+    for (const mfault::FaultEvent& ev : v.plan.events()) {
+      Json e = Json::Object();
+      e.Set("kind", Json(kFaultKinds[static_cast<int>(ev.kind)]));
+      e.Set("at_ms", Json(static_cast<double>(ev.at_us) / 1000.0));
+      e.Set("site", Json(ev.site));
+      if (ev.peer != mnet::kNoSite) {
+        e.Set("peer", Json(ev.peer));
+      }
+      events.Push(std::move(e));
+    }
+    Json j = Json::Object();
+    j.Set("name", Json(v.name));
+    j.Set("events", std::move(events));
+    return j;
+  } else {
+    return Json(v);
+  }
+}
+
+bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error);
+
+// Reads j into *out if it is a value of T; *out may change either way. A
+// fault plan says why not in *error; for the rest the caller says what the
+// member wants.
+template <typename T>
+bool Decode(const Json& j, T* out, std::string* error) {
+  if constexpr (kIsList<T>) {
+    out->clear();
+    for (const Json& x : j.items()) {
+      if (!Decode(x, &out->emplace_back(), error)) {
+        return false;
+      }
+    }
+    return j.is_array();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return j.is_string() ? ParseSeed(j.AsString(), out)
+                         : j.is_number() && FromNumber(j.AsDouble(), out);
+  } else if constexpr (kNumeric<T>) {
+    return j.is_number() && FromNumber(j.AsDouble(), out);
+  } else if constexpr (std::is_same_v<T, FaultPlanSpec>) {
+    return FaultPlanFromJson(j, out, error);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *out = j.AsBool();
+    return j.is_bool();
+  } else {
+    *out = j.AsString();
+    return j.is_string();
+  }
+}
+
+// Whether j is an object whose members are all in `known`; else names the
+// first other one in *error.
+bool KnownMembers(const Json& j, std::initializer_list<std::string_view> known,
+                  std::string* error) {
+  for (const auto& [name, value] : j.members()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      *error = "unknown member '" + name + "'";
       return false;
     }
-    out->push_back(static_cast<T>(v.AsDouble()));
   }
-  return !out->empty();
+  return j.is_object();
+}
+
+// Reads member `key` of object j, if present, into *out.
+template <typename T>
+bool ReadMember(const Json& j, const char* key, T* out, std::string* error) {
+  const Json* v = j.Find(key);
+  return v == nullptr || Decode(*v, out, error);
+}
+
+bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error) {
+  out->name = "plan";
+  out->plan = mfault::FaultPlan();
+  const Json none = Json::Array();
+  const Json* events = j.Find("events") != nullptr ? j.Find("events") : &none;
+  bool ok = ReadMember(j, "name", &out->name, error) &&
+            KnownMembers(j, {"name", "events"}, error) && events->is_array();
+  for (const Json& e : events->items()) {
+    std::string kind;
+    double at_ms = 0.0;
+    int site = -1, peer = -1;
+    ok = ok && KnownMembers(e, {"kind", "at_ms", "site", "peer"}, error) &&
+         ReadMember(e, "kind", &kind, error) && ReadMember(e, "at_ms", &at_ms, error) &&
+         ReadMember(e, "site", &site, error) && ReadMember(e, "peer", &peer, error);
+    if (!ok) {
+      break;
+    }
+    const msim::Time at = static_cast<msim::Time>(at_ms * msim::kMillisecond);
+    using mfault::FaultKind;
+    switch (static_cast<FaultKind>(std::find(kFaultKinds, std::end(kFaultKinds), kind) -
+                                   kFaultKinds)) {
+      case FaultKind::kCrashSite: out->plan.CrashAt(at, site); break;
+      case FaultKind::kPauseSite: out->plan.PauseAt(at, site); break;
+      case FaultKind::kResumeSite: out->plan.ResumeAt(at, site); break;
+      case FaultKind::kPartitionLink: out->plan.PartitionAt(at, site, peer); break;
+      case FaultKind::kHealLink: out->plan.HealAt(at, site, peer); break;
+      case FaultKind::kRecoverSite: out->plan.RecoverAt(at, site); break;
+      default: *error = "unknown fault kind '" + kind + "'"; ok = false;
+    }
+  }
+  if (!ok) {
+    *error = "fault plan '" + out->name + "': " +
+             (error->empty() ? "want a name and events of kind, at_ms, site and peer" : *error);
+  }
+  return ok;
+}
+
+// The row whose name (or flag) is `key`, or null.
+const SpecField* FindField(const char* SpecField::*column, std::string_view key) {
+  const auto* f = std::find_if(std::begin(kFields), std::end(kFields), [&](const SpecField& row) {
+    return row.*column != nullptr && key == row.*column;
+  });
+  return f == std::end(kFields) ? nullptr : f;
 }
 
 }  // namespace
 
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, v);
+  return r.ec == std::errc() && r.ptr == end && FromNumber(v, out);
+}
+template bool ParseNumber(std::string_view, int*);
+template bool ParseNumber(std::string_view, double*);
+
+std::span<const SpecField> SpecFields() { return kFields; }
+
 int ExperimentSpec::PointCount() const {
-  std::size_t plans = fault_plans.empty() ? 1 : fault_plans.size();
-  return static_cast<int>(sites.size() * delta_ms.size() * quantum_ticks.size() *
-                          segment_bytes.size() * loss.size() * replicas.size() *
-                          zipf_s.size() * get_mix.size() * kv_replicas.size() *
-                          cost_presets.size() * plans);
+  std::size_t points = fault_plans.empty() ? 1 : fault_plans.size();
+  ForEachAxis([this, &points](auto values, auto) { points *= (this->*values).size(); });
+  return static_cast<int>(points);
 }
 
 std::uint64_t ExperimentSpec::DeriveSeed(std::uint64_t base, int run_index) {
@@ -77,7 +373,7 @@ std::vector<RunConfig> ExperimentSpec::Expand() const {
   for (int point = 0; point < points; ++point) {
     // The point index is a mixed-radix number, one digit per axis. Each
     // pick takes the lowest remaining digit, so the axes are picked fastest
-    // first: the reverse of their order in ExperimentSpec.
+    // first: the fault plan, then the rest in reverse table order.
     std::size_t rest = static_cast<std::size_t>(point);
     auto pick = [&rest](const auto& axis) -> const auto& {
       const auto& value = axis[rest % axis.size()];
@@ -90,16 +386,7 @@ std::vector<RunConfig> ExperimentSpec::Expand() const {
     const FaultPlanSpec& fp = pick(plans);
     cfg.fault_plan = fp.name;
     cfg.faults = fp.plan;
-    cfg.cost_preset = pick(cost_presets);
-    cfg.kv_replicas = pick(kv_replicas);
-    cfg.get_mix = pick(get_mix);
-    cfg.zipf_s = pick(zipf_s);
-    cfg.replicas = pick(replicas);
-    cfg.loss = pick(loss);
-    cfg.segment_bytes = pick(segment_bytes);
-    cfg.quantum_ticks = pick(quantum_ticks);
-    cfg.delta_ms = pick(delta_ms);
-    cfg.sites = pick(sites);
+    ForEachAxis([&](auto values, auto run) { cfg.*run = pick(this->*values); });
     for (int r = 0; r < reps; ++r) {
       cfg.rep = r;
       cfg.run_index = point * reps + r;
@@ -121,120 +408,17 @@ std::string SeedString(std::uint64_t seed) {
   return buf;
 }
 
-Json FaultPlanToJson(const FaultPlanSpec& fp) {
-  Json j = Json::Object();
-  j.Set("name", Json(fp.name));
-  Json events = Json::Array();
-  for (const mfault::FaultEvent& ev : fp.plan.events()) {
-    Json e = Json::Object();
-    switch (ev.kind) {
-      case mfault::FaultKind::kCrashSite: e.Set("kind", Json("crash")); break;
-      case mfault::FaultKind::kPauseSite: e.Set("kind", Json("pause")); break;
-      case mfault::FaultKind::kResumeSite: e.Set("kind", Json("resume")); break;
-      case mfault::FaultKind::kPartitionLink: e.Set("kind", Json("cut")); break;
-      case mfault::FaultKind::kHealLink: e.Set("kind", Json("heal")); break;
-      case mfault::FaultKind::kRecoverSite: e.Set("kind", Json("recover")); break;
-    }
-    e.Set("at_ms", Json(static_cast<double>(ev.at_us) / 1000.0));
-    e.Set("site", Json(ev.site));
-    if (ev.peer != mnet::kNoSite) {
-      e.Set("peer", Json(ev.peer));
-    }
-    events.Push(std::move(e));
-  }
-  j.Set("events", std::move(events));
-  return j;
-}
-
-bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error) {
-  if (!j.is_object()) {
-    *error = "fault plan must be an object";
-    return false;
-  }
-  out->name = j.GetString("name", "plan");
-  out->plan = mfault::FaultPlan();
-  const Json* events = j.Find("events");
-  if (events == nullptr) {
-    return true;
-  }
-  if (!events->is_array()) {
-    *error = "fault plan 'events' must be an array";
-    return false;
-  }
-  for (const Json& e : events->items()) {
-    std::string kind = e.GetString("kind", "");
-    msim::Time at =
-        static_cast<msim::Time>(e.GetDouble("at_ms", 0.0) * msim::kMillisecond);
-    int site = static_cast<int>(e.GetInt("site", -1));
-    int peer = static_cast<int>(e.GetInt("peer", -1));
-    if (kind == "crash") {
-      out->plan.CrashAt(at, site);
-    } else if (kind == "pause") {
-      out->plan.PauseAt(at, site);
-    } else if (kind == "resume") {
-      out->plan.ResumeAt(at, site);
-    } else if (kind == "cut") {
-      out->plan.PartitionAt(at, site, peer);
-    } else if (kind == "heal") {
-      out->plan.HealAt(at, site, peer);
-    } else if (kind == "recover") {
-      out->plan.RecoverAt(at, site);
-    } else {
-      *error = "unknown fault kind '" + kind + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
 Json ExperimentSpec::ToJson() const {
+  const ExperimentSpec defaults;
   Json j = Json::Object();
-  j.Set("name", Json(name));
-  j.Set("workload", Json(workload));
-  j.Set("sites", NumArray(sites));
-  j.Set("delta_ms", NumArray(delta_ms));
-  j.Set("quantum_ticks", NumArray(quantum_ticks));
-  j.Set("segment_bytes", NumArray(segment_bytes));
-  j.Set("loss", NumArray(loss));
-  j.Set("replicas", NumArray(replicas));
-  j.Set("zipf_s", NumArray(zipf_s));
-  j.Set("get_mix", NumArray(get_mix));
-  j.Set("kv_replicas", NumArray(kv_replicas));
-  // Omitted at the default so pre-axis specs round-trip byte-identically.
-  if (!(cost_presets.size() == 1 && cost_presets[0] == "ethernet1989")) {
-    Json presets = Json::Array();
-    for (const std::string& cp : cost_presets) {
-      presets.Push(Json(cp));
-    }
-    j.Set("cost_presets", std::move(presets));
+  for (const SpecField& f : kFields) {
+    Visit(f, [&](auto get) {
+      Json value = Encode(get(*this));
+      if (!f.omit_at_default || value.ToString() != Encode(get(defaults)).ToString()) {
+        j.Set(f.name, std::move(value));
+      }
+    });
   }
-  if (!fault_plans.empty()) {
-    Json plans = Json::Array();
-    for (const FaultPlanSpec& fp : fault_plans) {
-      plans.Push(FaultPlanToJson(fp));
-    }
-    j.Set("fault_plans", std::move(plans));
-  }
-  j.Set("repetitions", Json(repetitions));
-  j.Set("phase_offsets_ms", NumArray(phase_offsets_ms));
-  j.Set("seed", Json(SeedString(seed)));
-  j.Set("library_site", Json(library_site));
-  j.Set("iterations", Json(iterations));
-  j.Set("rounds", Json(rounds));
-  j.Set("matrix_n", Json(matrix_n));
-  j.Set("dot_length", Json(dot_length));
-  j.Set("tsp_cities", Json(tsp_cities));
-  j.Set("with_background", Json(with_background));
-  j.Set("yield", Json(use_yield));
-  j.Set("parallel_lib", Json(parallel_lib));
-  j.Set("baseline", Json(baseline));
-  j.Set("max_time_s", Json(max_time_s));
-  j.Set("kv_keys", Json(static_cast<std::int64_t>(kv_keys)));
-  j.Set("kv_value_words", Json(static_cast<std::int64_t>(kv_value_words)));
-  j.Set("kv_arrival_per_s", Json(kv_arrival_per_s));
-  j.Set("kv_ops_per_site", Json(static_cast<std::int64_t>(kv_ops_per_site)));
-  j.Set("kv_workers", Json(kv_workers));
-  j.Set("kv_shards", Json(static_cast<std::int64_t>(kv_shards)));
   return j;
 }
 
@@ -244,79 +428,18 @@ bool ExperimentSpec::FromJson(const Json& j, ExperimentSpec* out, std::string* e
     return false;
   }
   ExperimentSpec spec;
-  spec.name = j.GetString("name", spec.name);
-  spec.workload = j.GetString("workload", spec.workload);
-  if (!ReadNumArray(j, "sites", &spec.sites) || !ReadNumArray(j, "delta_ms", &spec.delta_ms) ||
-      !ReadNumArray(j, "quantum_ticks", &spec.quantum_ticks) ||
-      !ReadNumArray(j, "segment_bytes", &spec.segment_bytes) ||
-      !ReadNumArray(j, "loss", &spec.loss) ||
-      !ReadNumArray(j, "replicas", &spec.replicas) ||
-      !ReadNumArray(j, "zipf_s", &spec.zipf_s) ||
-      !ReadNumArray(j, "get_mix", &spec.get_mix) ||
-      !ReadNumArray(j, "kv_replicas", &spec.kv_replicas) ||
-      !ReadNumArray(j, "phase_offsets_ms", &spec.phase_offsets_ms)) {
-    *error = "axis members must be non-empty arrays of numbers";
-    return false;
-  }
-  const Json* presets = j.Find("cost_presets");
-  if (presets != nullptr) {
-    if (!presets->is_array()) {
-      *error = "'cost_presets' must be an array of strings";
+  for (const auto& [key, value] : j.members()) {
+    const SpecField* f = FindField(&SpecField::name, key);
+    if (f == nullptr) {
+      *error = "unknown spec member '" + key + "'";
       return false;
     }
-    spec.cost_presets.clear();
-    for (const Json& cp : presets->items()) {
-      if (!cp.is_string()) {
-        *error = "'cost_presets' must be an array of strings";
-        return false;
-      }
-      spec.cost_presets.push_back(cp.AsString());
-    }
-  }
-  const Json* plans = j.Find("fault_plans");
-  if (plans != nullptr) {
-    if (!plans->is_array()) {
-      *error = "'fault_plans' must be an array";
+    std::string why;
+    if (!Visit(*f, [&](auto get) { return Decode(value, &get(spec), &why); })) {
+      *error = why.empty() ? key + " must be " + Want(*f) + ", not " + value.ToString() : why;
       return false;
     }
-    for (const Json& p : plans->items()) {
-      FaultPlanSpec fp;
-      if (!FaultPlanFromJson(p, &fp, error)) {
-        return false;
-      }
-      spec.fault_plans.push_back(std::move(fp));
-    }
   }
-  spec.repetitions = static_cast<int>(j.GetInt("repetitions", spec.repetitions));
-  // Seeds are serialized as hex strings: 64-bit values do not survive a trip
-  // through a JSON double.
-  const Json* seed = j.Find("seed");
-  if (seed != nullptr) {
-    if (seed->is_number()) {
-      spec.seed = static_cast<std::uint64_t>(seed->AsInt());
-    } else if (seed->is_string()) {
-      spec.seed = std::strtoull(seed->AsString().c_str(), nullptr, 0);
-    }
-  }
-  spec.library_site = static_cast<int>(j.GetInt("library_site", spec.library_site));
-  spec.iterations = static_cast<int>(j.GetInt("iterations", spec.iterations));
-  spec.rounds = static_cast<int>(j.GetInt("rounds", spec.rounds));
-  spec.matrix_n = static_cast<int>(j.GetInt("matrix_n", spec.matrix_n));
-  spec.dot_length = static_cast<int>(j.GetInt("dot_length", spec.dot_length));
-  spec.tsp_cities = static_cast<int>(j.GetInt("tsp_cities", spec.tsp_cities));
-  spec.with_background = j.GetBool("with_background", spec.with_background);
-  spec.use_yield = j.GetBool("yield", spec.use_yield);
-  spec.parallel_lib = j.GetBool("parallel_lib", spec.parallel_lib);
-  spec.baseline = j.GetBool("baseline", spec.baseline);
-  spec.max_time_s = j.GetInt("max_time_s", spec.max_time_s);
-  spec.kv_keys = static_cast<std::uint32_t>(j.GetInt("kv_keys", spec.kv_keys));
-  spec.kv_value_words =
-      static_cast<std::uint32_t>(j.GetInt("kv_value_words", spec.kv_value_words));
-  spec.kv_arrival_per_s = j.GetDouble("kv_arrival_per_s", spec.kv_arrival_per_s);
-  spec.kv_ops_per_site =
-      static_cast<std::uint32_t>(j.GetInt("kv_ops_per_site", spec.kv_ops_per_site));
-  spec.kv_workers = static_cast<int>(j.GetInt("kv_workers", spec.kv_workers));
-  spec.kv_shards = static_cast<std::uint32_t>(j.GetInt("kv_shards", spec.kv_shards));
   if (!spec.Validate(error)) {
     return false;
   }
@@ -329,36 +452,13 @@ bool ExperimentSpec::Validate(std::string* error) const {
     *error = std::move(message);
     return false;
   };
+  for (const SpecField& f : kFields) {
+    if (!Visit(f, [&](auto get) { return InRange(get(*this), f); })) {
+      return fail(std::string(f.name) + " must be " + Want(f));
+    }
+  }
   if (!KnownWorkload(workload)) {
     return fail("unknown workload '" + workload + "'");
-  }
-  if (PointCount() == 0) {
-    return fail("every axis needs at least one value");
-  }
-  if (repetitions < 1) {
-    return fail("repetitions must be >= 1");
-  }
-  for (int s : sites) {
-    if (s < 1 || s > 512) {
-      return fail("sites values must be in 1..512");
-    }
-  }
-  // Sites are numbered from 0, and every point of the grid must have the
-  // sites that the library placement and the fault plans name.
-  const int min_sites = *std::min_element(sites.begin(), sites.end());
-  if (library_site < 0 || library_site >= min_sites) {
-    return fail("library_site must be in 0.." + std::to_string(min_sites - 1) +
-                " (below the smallest sites value)");
-  }
-  for (std::int64_t d : delta_ms) {
-    if (d < 0) {
-      return fail("delta_ms values must be >= 0");
-    }
-  }
-  for (std::uint32_t b : segment_bytes) {
-    if (b < 1 || b > kMaxSegmentBytes) {
-      return fail("segment_bytes values must be in 1.." + std::to_string(kMaxSegmentBytes));
-    }
   }
   for (const std::string& cp : cost_presets) {
     mnet::CostModel unused;
@@ -366,30 +466,12 @@ bool ExperimentSpec::Validate(std::string* error) const {
       return fail("unknown cost preset '" + cp + "' (ethernet1989, rdma)");
     }
   }
-  for (double l : loss) {
-    if (l < 0.0 || l > 1.0) {
-      return fail("loss values must be in [0, 1]");
-    }
-  }
-  for (int k : replicas) {
-    if (k < 1 || k > 12) {
-      return fail("replicas values must be in 1..12");
-    }
-  }
-  for (int k : kv_replicas) {
-    if (k < 1 || k > 12) {
-      return fail("kv_replicas values must be in 1..12");
-    }
-  }
-  for (double g : get_mix) {
-    if (g < 0.0 || g > 1.0) {
-      return fail("get_mix values must be in [0, 1]");
-    }
-  }
-  for (double z : zipf_s) {
-    if (z < 0.0) {
-      return fail("zipf_s values must be >= 0");
-    }
+  // Sites are numbered from 0, and every point of the grid must have the
+  // sites that the library placement and the fault plans name.
+  const int min_sites = *std::min_element(sites.begin(), sites.end());
+  if (library_site >= min_sites) {
+    return fail("library_site must be below the smallest sites value, " +
+                std::to_string(min_sites));
   }
   for (const FaultPlanSpec& fp : fault_plans) {
     std::string why;
@@ -397,28 +479,46 @@ bool ExperimentSpec::Validate(std::string* error) const {
       return fail("fault plan '" + fp.name + "': " + why);
     }
   }
-  if (max_time_s < 1) {
-    return fail("max_time_s must be >= 1");
-  }
-  if (kv_keys < 1 || kv_keys > kMaxKvKeys) {
-    return fail("kv_keys must be in 1.." + std::to_string(kMaxKvKeys));
-  }
-  if (kv_ops_per_site > kMaxKvOpsPerSite) {
-    return fail("kv_ops_per_site must be <= " + std::to_string(kMaxKvOpsPerSite));
-  }
-  if (kv_shards > kMaxKvKeys) {
-    return fail("kv_shards must be <= " + std::to_string(kMaxKvKeys) + " (0: one per site)");
-  }
-  if (kv_value_words < 1 || kv_value_words > kMaxKvValueWords) {
-    return fail("kv_value_words must be in 1.." + std::to_string(kMaxKvValueWords));
-  }
-  if (!(kv_arrival_per_s > 0.0)) {  // also rejects NaN
-    return fail("kv_arrival_per_s must be > 0");
-  }
-  if (tsp_cities < 2) {
-    return fail("tsp_cities must be >= 2");
-  }
   return true;
+}
+
+bool ApplyFlag(const std::string& arg, ExperimentSpec* spec, std::string* error) {
+  const std::size_t eq = arg.find('=');
+  const std::string flag = arg.substr(0, eq);
+  const SpecField* f = FindField(&SpecField::flag, flag);
+  if (f == nullptr) {
+    *error = "unknown argument '" + arg + "'";
+    return false;
+  }
+  error->clear();
+  Visit(*f, [&](auto get) {
+    using V = ValueOf<decltype(get)>;
+    if constexpr (std::is_same_v<V, bool>) {
+      const ExperimentSpec defaults;
+      get(*spec) = !get(defaults);
+      if (eq != std::string::npos) {
+        *error = "bad argument '" + arg + "': " + flag + " sets " + f->name + " and takes no value";
+      }
+    } else if (eq == std::string::npos ||
+               !Decode(FlagJson<V>(std::string_view(arg).substr(eq + 1)), &get(*spec), error)) {
+      *error = "bad argument '" + arg + "': " + f->name + " must be " + Want<V>(*f);
+    }
+  });
+  return error->empty();
+}
+
+std::string Usage() {
+  std::string out =
+      "spec members: the JSON name, the flag (=V, =V,V,... for a list, no value for a\n"
+      "switch), the meaning and the range:\n";
+  for (const SpecField& f : kFields) {
+    char line[200];
+    const std::string range = f.numeric() ? Range(f) : "";
+    std::snprintf(line, sizeof(line), "  %-17s %-15s %s%s%s\n", f.name, f.flag ? f.flag : "",
+                  f.help, range.empty() ? "" : " ", range.c_str());
+    out += line;
+  }
+  return out;
 }
 
 bool KnownWorkload(const std::string& name) {

@@ -1,12 +1,10 @@
 // Declarative experiment specifications.
 //
-// An ExperimentSpec names a workload, its tunables, a grid of eleven axes
-// (sites, the time window Delta, the scheduling quantum, segment size,
-// network frame loss, page replicas, the three kvstore axes, the cost preset
-// and fault plans) and a repetition count. Expand() flattens the grid into
-// RunConfigs in a fixed order with per-run seeds derived from the spec seed,
-// so the same spec always yields the same runs in the same order no matter
-// how many worker threads later execute them.
+// An ExperimentSpec names a workload, its tunables, a grid of axes and a
+// repetition count. Expand() flattens the grid into RunConfigs in a fixed
+// order with per-run seeds derived from the spec seed, so the same spec
+// always yields the same runs in the same order no matter how many worker
+// threads later execute them.
 //
 // Specs round-trip through JSON (see DESIGN.md "Experiment JSON schema"):
 // the CLI loads them from files, and every report embeds the spec that
@@ -16,7 +14,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "src/exp/json.h"
@@ -141,23 +142,66 @@ struct ExperimentSpec : Tunables {
   // The seed for global run `run_index`, splitmix-derived from the spec seed.
   static std::uint64_t DeriveSeed(std::uint64_t base, int run_index);
 
-  // The range checks every spec passes before it runs, whether it came
-  // from a JSON file or from CLI flags: a known workload, non-empty axes,
-  // sites in 1..512, delta_ms >= 0, segment_bytes in 1..16 MiB, loss and
-  // get_mix in [0, 1], replicas and kv_replicas in 1..12, zipf_s >= 0,
-  // known cost presets, self-consistent fault plans, and tunables a run can
-  // use (max_time_s >= 1, kv_keys in 1..2^20, kv_value_words in 1..126 so a
-  // slot fits a page, kv_ops_per_site <= 10^7, kv_shards <= 2^20,
-  // kv_arrival_per_s > 0, tsp_cities >= 2). The upper bounds also catch a
-  // negative value that wrapped to a huge unsigned one.
-  // Returns false and sets *error on the first violation.
+  // The checks every spec passes before it runs, from a file or from flags:
+  // the SpecFields() ranges, non-empty lists, a known workload and cost
+  // presets, and a library site and fault plans naming sites that every grid
+  // point has. Returns false and sets *error on the first violation.
   bool Validate(std::string* error) const;
 
   Json ToJson() const;
-  // Parses and validates a spec; unknown members are ignored, absent ones
-  // keep defaults. Returns false and sets *error on malformed input.
+  // Parses and validates a spec; absent members keep defaults. False, with
+  // *error naming the member, on an unknown member or a value of another type.
   static bool FromJson(const Json& j, ExperimentSpec* out, std::string* error);
 };
+
+// One ExperimentSpec member as spec files, CLI flags and Validate see it.
+// SpecFields() lists every member in JSON order; ToJson, FromJson,
+// Validate's range checks, PointCount, Expand's axis picks, ApplyFlag and
+// Usage each loop over it, so a new tunable or axis is one row there.
+struct SpecField {
+  // A list member. An axis also names the RunConfig member that each grid
+  // point sets to one of its values; other lists leave `run` null.
+  template <typename T>
+  struct List {
+    std::vector<T> ExperimentSpec::*values;
+    T RunConfig::*run = nullptr;
+  };
+  using Member =
+      std::variant<bool ExperimentSpec::*, int ExperimentSpec::*, std::int64_t ExperimentSpec::*,
+                   std::uint32_t ExperimentSpec::*, std::uint64_t ExperimentSpec::*,
+                   double ExperimentSpec::*, std::string ExperimentSpec::*, List<int>,
+                   List<std::int64_t>, List<std::uint32_t>, List<double>, List<std::string>,
+                   List<FaultPlanSpec>>;
+
+  const char* name;  // the JSON member
+  // The CLI flag, or null. A bool's flag takes no value and sets the
+  // opposite of the default; a list's takes comma-separated values.
+  const char* flag;
+  Member member;
+  const char* help;
+  // Every value of a number (or list of numbers) lies in [min, max]. Both
+  // are 0 for other members, the seed among them: it may be any 64-bit value.
+  double min = 0;
+  double max = 0;
+  bool omit_at_default = false;  // ToJson leaves the member out at its default
+
+  bool numeric() const { return min < max; }
+};
+
+std::span<const SpecField> SpecFields();
+
+// Applies one spec flag, "--sites=2,4" or "--li", to *spec; Validate checks
+// ranges. False, with *error naming the member, for an unknown flag or a
+// value not of the member's type, after which *spec may have changed.
+bool ApplyFlag(const std::string& arg, ExperimentSpec* spec, std::string* error);
+
+// One line per SpecFields() row: JSON name, flag, help and range.
+std::string Usage();
+
+// Parses all of `text` as a number that is a value of T: integral and in
+// range for an integer T. Defined for int and double.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out);
 
 // Workload names understood by ExecuteRun.
 bool KnownWorkload(const std::string& name);
@@ -168,10 +212,6 @@ std::optional<ExperimentSpec> Preset(const std::string& name);
 
 // "0x" + 16 hex digits: how specs and reports write a 64-bit seed.
 std::string SeedString(std::uint64_t seed);
-
-// Fault plan (de)serialization, shared with the report emitter.
-Json FaultPlanToJson(const FaultPlanSpec& fp);
-bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error);
 
 }  // namespace mexp
 

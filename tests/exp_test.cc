@@ -6,9 +6,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
@@ -178,17 +181,121 @@ TEST(ExperimentSpec, JsonRoundTripPreservesGridAndSeed) {
   EXPECT_EQ(back.Expand()[3].seed, spec.Expand()[3].seed);
 }
 
+// Each bad spec is rejected with an error that names the member at fault:
+// values outside a range or of another type, and unknown members at the top
+// level, in a fault plan and in a fault event.
 TEST(ExperimentSpec, FromJsonRejectsBadInput) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"sites": []})", "sites"},
+      {R"({"sites": [1000]})", "sites"},
+      {R"({"sites": [2.7]})", "sites"},
+      {R"({"repetitions": 0})", "repetitions"},
+      {R"({"cost_presets": ["token-ring"]})", "token-ring"},
+      {R"({"rounds": "3"})", "rounds"},
+      {R"({"with_background": 1})", "with_background"},
+      {R"({"iterations": 4294967297})", "iterations"},
+      {R"({"seed": "0x12z"})", "seed"},
+      {R"({"workload": "pingpong", "sites": [2], "round": 3})", "round"},
+      {R"({"fault_plans": [{"name": "p", "evnts": []}]})", "evnts"},
+      {R"({"sites": [3], "fault_plans": [{"name": "p",)"
+       R"( "events": [{"kind": "crash", "at": 50, "site": 2}]}]})",
+       "'at'"},
+      {R"({"fault_plans": [{"name": "p", "events": [{"kind": "crash", "site": "1"}]}]})", "p"},
+  };
+  for (const auto& [text, named] : cases) {
+    std::string error;
+    const mexp::Json bad = mexp::Json::Parse(text, &error);
+    ASSERT_TRUE(error.empty()) << text;
+    mexp::ExperimentSpec out;
+    EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error)) << text;
+    EXPECT_NE(error.find(named), std::string::npos) << text << ": " << error;
+  }
+}
+
+// Driven by SpecFields() itself, so a new row is covered with no edit here.
+// Each numeric row's min and max pass through a flag and a spec file;
+// values just outside them, and a non-number, fail through both with the
+// member named; every flag is in the usage text. An unknown member or flag
+// fails too.
+TEST(ExperimentSpec, EverySpecFieldTakesItsRangeFromFlagsAndFiles) {
+  // A spec of 512 sites, so that every library_site in range names a site.
+  auto from_flag = [](const mexp::SpecField& f, const std::string& value, std::string* error) {
+    mexp::ExperimentSpec spec;
+    spec.sites = {512};
+    return mexp::ApplyFlag(std::string(f.flag) + "=" + value, &spec, error) &&
+           spec.Validate(error);
+  };
+  const mexp::Json defaults = mexp::ExperimentSpec().ToJson();
+  auto from_file = [&defaults](const mexp::SpecField& f, mexp::Json value, std::string* error) {
+    mexp::Json j = mexp::Json::Object();
+    j.Set("sites", mexp::Json(mexp::JsonArray{mexp::Json(512)}));
+    j.Set(f.name, defaults.Find(f.name)->is_array() ? mexp::Json(mexp::JsonArray{value}) : value);
+    mexp::ExperimentSpec spec;
+    return mexp::ExperimentSpec::FromJson(j, &spec, error);
+  };
+  const std::string usage = mexp::Usage();
+  int numeric = 0;
+  for (const mexp::SpecField& f : mexp::SpecFields()) {
+    if (f.flag != nullptr) {
+      EXPECT_NE(usage.find(f.flag), std::string::npos) << f.name;
+    }
+    if (!f.numeric()) {
+      continue;
+    }
+    ++numeric;
+    std::string error;
+    for (double v : {f.min, f.max}) {
+      const std::string text = mexp::Json::NumberToString(v);
+      EXPECT_TRUE(f.flag == nullptr || from_flag(f, text, &error)) << f.name << "=" << text << ": "
+                                                                   << error;
+      EXPECT_TRUE(from_file(f, mexp::Json(v), &error)) << f.name << "=" << text << ": " << error;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double v :
+         {std::nextafter(f.min, -inf), f.min - 1, std::nextafter(f.max, inf), f.max + 1}) {
+      if (v >= f.min && v <= f.max) {
+        continue;  // max + 1 rounds back to max when max is the largest double
+      }
+      const std::string text = mexp::Json::NumberToString(v);
+      if (f.flag != nullptr) {
+        error.clear();
+        EXPECT_FALSE(from_flag(f, text, &error)) << f.name << "=" << text;
+        EXPECT_NE(error.find(f.name), std::string::npos) << f.name << "=" << text << ": " << error;
+      }
+      error.clear();
+      EXPECT_FALSE(from_file(f, mexp::Json(v), &error)) << f.name << "=" << text;
+      EXPECT_NE(error.find(f.name), std::string::npos) << f.name << "=" << text << ": " << error;
+    }
+    if (f.flag != nullptr) {
+      error.clear();
+      EXPECT_FALSE(from_flag(f, "abc", &error)) << f.name;
+      EXPECT_NE(error.find(f.name), std::string::npos) << error;
+    }
+    error.clear();
+    EXPECT_FALSE(from_file(f, mexp::Json("abc"), &error)) << f.name;
+    EXPECT_NE(error.find(f.name), std::string::npos) << error;
+  }
+  EXPECT_GT(numeric, 20);
+
   std::string error;
-  mexp::ExperimentSpec out;
-  mexp::Json bad = mexp::Json::Parse(R"({"sites": []})", &error);
-  EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
-  bad = mexp::Json::Parse(R"({"sites": [1000]})", &error);
-  EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
-  bad = mexp::Json::Parse(R"({"repetitions": 0})", &error);
-  EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
-  bad = mexp::Json::Parse(R"({"cost_presets": ["token-ring"]})", &error);
-  EXPECT_FALSE(mexp::ExperimentSpec::FromJson(bad, &out, &error));
+  mexp::Json unknown = mexp::Json::Object();
+  unknown.Set("round", mexp::Json(3));
+  mexp::ExperimentSpec spec;
+  EXPECT_FALSE(mexp::ExperimentSpec::FromJson(unknown, &spec, &error));
+  EXPECT_NE(error.find("'round'"), std::string::npos) << error;
+  EXPECT_FALSE(mexp::ApplyFlag("--round=3", &spec, &error));
+  EXPECT_NE(error.find("--round=3"), std::string::npos) << error;
+  EXPECT_FALSE(mexp::ApplyFlag("--li=1", &spec, &error));  // a switch takes no value
+  EXPECT_FALSE(mexp::ApplyFlag("--seed=-1", &spec, &error));
+  ASSERT_TRUE(mexp::ApplyFlag("--seed=0x2a", &spec, &error)) << error;
+  EXPECT_EQ(spec.seed, 42u);
+  ASSERT_TRUE(mexp::ApplyFlag("--li", &spec, &error)) << error;
+  ASSERT_TRUE(mexp::ApplyFlag("--no-yield", &spec, &error)) << error;
+  EXPECT_TRUE(spec.baseline);
+  EXPECT_FALSE(spec.use_yield);
+  ASSERT_TRUE(mexp::ApplyFlag("--cost=rdma,ethernet1989", &spec, &error)) << error;
+  EXPECT_EQ(spec.cost_presets, (std::vector<std::string>{"rdma", "ethernet1989"}));
+  EXPECT_FALSE(mexp::ApplyFlag("--cost=rdma,", &spec, &error));  // an empty item
 }
 
 // CLI flags and --spec files pass the same checks: each bad value is
@@ -282,6 +389,17 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
       {R"({"kv_shards": -1})", [](mexp::ExperimentSpec* s) { s->kv_shards = 4294967295u; }},
       // A hash-map slot of 127 value words no longer fits one page.
       {R"({"kv_value_words": 127})", [](mexp::ExperimentSpec* s) { s->kv_value_words = 127; }},
+      // Sizes of zero or less run nothing, or run a quantum of no length,
+      // and a negative phase offset is silently taken as zero.
+      {R"({"iterations": 0})", [](mexp::ExperimentSpec* s) { s->iterations = 0; }},
+      {R"({"rounds": -3})", [](mexp::ExperimentSpec* s) { s->rounds = -3; }},
+      {R"({"kv_workers": 0})", [](mexp::ExperimentSpec* s) { s->kv_workers = 0; }},
+      {R"({"kv_ops_per_site": 0})", [](mexp::ExperimentSpec* s) { s->kv_ops_per_site = 0; }},
+      {R"({"quantum_ticks": [6, 0]})", [](mexp::ExperimentSpec* s) { s->quantum_ticks = {6, 0}; }},
+      {R"({"matrix_n": 0})", [](mexp::ExperimentSpec* s) { s->matrix_n = 0; }},
+      {R"({"dot_length": 0})", [](mexp::ExperimentSpec* s) { s->dot_length = 0; }},
+      {R"({"phase_offsets_ms": [-500]})",
+       [](mexp::ExperimentSpec* s) { s->phase_offsets_ms = {-500}; }},
   };
   std::string error;
   EXPECT_TRUE(mexp::ExperimentSpec().Validate(&error)) << error;
@@ -306,6 +424,8 @@ TEST(ExperimentSpec, ValidateRejectsOutOfRangeValuesFromFlagsAndFiles) {
   EXPECT_FALSE(nan_rate.Validate(&error));
 }
 
+// Presets validate, and the spec that each preset's report embeds parses
+// back to the same bytes.
 TEST(ExperimentSpec, PresetsAreValidAndNamed) {
   for (const char* name : {"fig8", "amelioration", "scalematrix", "availability", "kvstore"}) {
     std::optional<mexp::ExperimentSpec> spec = mexp::Preset(name);
@@ -313,6 +433,11 @@ TEST(ExperimentSpec, PresetsAreValidAndNamed) {
     EXPECT_EQ(spec->name, name);
     std::string error;
     EXPECT_TRUE(spec->Validate(&error)) << name << ": " << error;
+    const std::string text = spec->ToJson().ToString();
+    mexp::ExperimentSpec back;
+    ASSERT_TRUE(mexp::ExperimentSpec::FromJson(mexp::Json::Parse(text, &error), &back, &error))
+        << name << ": " << error;
+    EXPECT_EQ(back.ToJson().ToString(), text) << name;
   }
   EXPECT_FALSE(mexp::Preset("fig9").has_value());
 }
