@@ -11,6 +11,7 @@
 //
 // Exit code: 2 for bad arguments. Otherwise 0, or 1 if a run failed (or, with
 // --report, if the workload did not complete, e.g. EIDRM under faults).
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -35,18 +36,16 @@ execution and output:
   --threads=N       worker threads (default: all cores); the same report for any N,
                     and for any MIRAGE_SIM_WORKERS count of simulator threads
   --out=FILE        write the JSON report (default: stdout); --csv=FILE adds a CSV
-  --baseline=FILE   diff against a stored report; a regression beyond
-                    --tolerance=X (default 0.10) exits 1
   --quiet           no stderr progress ticker
   --report          a text report of a spec that expands to one run, not JSON;
                     --trace adds the protocol event trace
 )";
 
 // Reads and parses a JSON file; false, with a message, on failure.
-bool ReadJsonFile(const std::string& path, const char* what, mexp::Json* out) {
+bool ReadJsonFile(const std::string& path, mexp::Json* out) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s '%s'\n", what, path.c_str());
+    std::fprintf(stderr, "cannot open spec file '%s'\n", path.c_str());
     return false;
   }
   std::stringstream buf;
@@ -54,7 +53,7 @@ bool ReadJsonFile(const std::string& path, const char* what, mexp::Json* out) {
   std::string error;
   *out = mexp::Json::Parse(buf.str(), &error);
   if (!error.empty()) {
-    std::fprintf(stderr, "%s parse error: %s\n", what, error.c_str());
+    std::fprintf(stderr, "spec file parse error: %s\n", error.c_str());
     return false;
   }
   return true;
@@ -90,7 +89,6 @@ void PrintSummary(const mexp::ExperimentReport& report) {
 
 }  // namespace
 
-
 int main(int argc, char** argv) {
   mexp::ExperimentSpec spec;
   int threads = 0;
@@ -99,8 +97,6 @@ int main(int argc, char** argv) {
   bool trace = false;
   std::string out_path;
   std::string csv_path;
-  std::string baseline_path;
-  double tolerance = 0.10;
   int next_plan = 1;
   auto bad_argument = [](const std::string& why) {
     std::fprintf(stderr, "%s\n\n%s%s", why.c_str(), kUsage, mexp::Usage().c_str());
@@ -118,13 +114,19 @@ int main(int argc, char** argv) {
     auto flag = [&s](const char* name) { return s.rfind(name, 0) == 0; };
     int site = 0, peer = 0, used = -1;  // used: characters sscanf consumed
     long t1 = 0, t2 = 0;
-    auto whole = [&value, &used] { return used == static_cast<int>(value.size()); };
+    // The whole value was read, and each time, in ms, is small enough that
+    // its µs fit msim::Time; FaultPlan::Validate checks the rest of its range.
+    constexpr long kMaxMs = 1'000'000'000'000'000;
+    auto whole = [&] {
+      return used == static_cast<int>(value.size()) && std::min(t1, t2) >= -kMaxMs &&
+             std::max(t1, t2) <= kMaxMs;
+    };
     if (std::optional<mexp::ExperimentSpec> preset = mexp::Preset(s)) {
       spec = *preset;
     } else if (flag("--spec=")) {
       mexp::Json j;
       std::string error;
-      if (!ReadJsonFile(value, "spec file", &j)) {
+      if (!ReadJsonFile(value, &j)) {
         return 2;
       }
       if (!mexp::ExperimentSpec::FromJson(j, &spec, &error)) {
@@ -162,16 +164,10 @@ int main(int argc, char** argv) {
       if (!mexp::ParseNumber(value, &threads)) {
         return bad_argument("bad --threads, want an integer");
       }
-    } else if (flag("--tolerance=")) {
-      if (!mexp::ParseNumber(value, &tolerance)) {
-        return bad_argument("bad --tolerance, want a number");
-      }
     } else if (flag("--out=")) {
       out_path = value;
     } else if (flag("--csv=")) {
       csv_path = value;
-    } else if (flag("--baseline=")) {
-      baseline_path = value;
     } else if (s == "--quiet") {
       quiet = true;
     } else if (s == "--report") {
@@ -194,8 +190,8 @@ int main(int argc, char** argv) {
       return bad_argument("--report needs a spec that expands to one run, not " +
                           std::to_string(runs.size()));
     }
-    if (!out_path.empty() || !csv_path.empty() || !baseline_path.empty()) {
-      return bad_argument("--report prints text only (no --out, --csv or --baseline)");
+    if (!out_path.empty() || !csv_path.empty()) {
+      return bad_argument("--report prints text only (no --out or --csv)");
     }
     mexp::RunConfig& cfg = runs.front();
     cfg.trace = trace;
@@ -263,31 +259,6 @@ int main(int argc, char** argv) {
   if (report.failed_runs > 0) {
     std::fprintf(stderr, "%d run(s) failed\n", report.failed_runs);
     return 1;
-  }
-
-  if (!baseline_path.empty()) {
-    mexp::Json base;
-    if (!ReadJsonFile(baseline_path, "baseline", &base)) {
-      return 2;
-    }
-    std::vector<mexp::DiffEntry> diffs = mexp::DiffReports(base, doc, tolerance);
-    int regressions = 0;
-    for (const mexp::DiffEntry& d : diffs) {
-      if (d.regression) {
-        ++regressions;
-      }
-      std::fprintf(stderr, "%s  %s: %s -> %s (%+.1f%%)%s\n", d.point.c_str(),
-                   d.metric.c_str(), mexp::Json::NumberToString(d.baseline).c_str(),
-                   mexp::Json::NumberToString(d.current).c_str(), d.rel_change * 100.0,
-                   d.regression ? "  REGRESSION" : "");
-    }
-    if (regressions > 0) {
-      std::fprintf(stderr, "%d regression(s) beyond %.0f%% tolerance\n", regressions,
-                   tolerance * 100.0);
-      return 1;
-    }
-    std::fprintf(stderr, "baseline diff: no regressions beyond %.0f%% tolerance\n",
-                 tolerance * 100.0);
   }
   return 0;
 }

@@ -1,11 +1,11 @@
 // A minimal JSON value, parser, and printer for the experiment harness.
 //
-// The harness needs to read declarative ExperimentSpecs, write result
-// reports, and re-read those reports for baseline diffing — all without an
-// external dependency. This is deliberately a small subset: UTF-8 strings
-// with the standard escapes, doubles (printed losslessly enough for exact
-// round-trips at the precision we emit), arrays, and objects whose keys keep
-// insertion order so the emitted report is byte-stable.
+// The harness needs to read declarative ExperimentSpecs and write result
+// reports, both without an external dependency. This is deliberately a
+// small subset: UTF-8 strings with the standard escapes, doubles (printed
+// losslessly enough for exact round-trips at the precision we emit),
+// arrays, and objects whose keys keep insertion order so the emitted report
+// is byte-stable.
 #ifndef SRC_EXP_JSON_H_
 #define SRC_EXP_JSON_H_
 

@@ -1,5 +1,8 @@
 #include "src/exp/report.h"
 
+#include <string>
+#include <vector>
+
 #include "src/mirage/invariants.h"
 #include "src/sysv/world.h"
 #include "src/trace/table.h"
@@ -16,21 +19,19 @@ Json ParamsToJson(const RunConfig& p) {
   j.Set("quantum_ticks", Json(p.quantum_ticks));
   j.Set("segment_bytes", Json(static_cast<double>(p.segment_bytes)));
   j.Set("loss", Json(p.loss));
-  // replicas=1 (the single-copy protocol) is omitted so that PointKey — and
-  // therefore regression diffs — match reports written before the replication
-  // axis existed.
+  // Each member below is omitted where reports written before it existed
+  // had none: replicas at 1 (the single-copy protocol), the kvstore axes for
+  // every other workload, and cost at the default preset. The committed
+  // preset baselines and golden files depend on these omissions byte for
+  // byte.
   if (p.replicas != 1) {
     j.Set("replicas", Json(p.replicas));
   }
-  // kvstore axes only exist for the kvstore workload; emitting them there
-  // unconditionally (defaults included) keeps every other workload's
-  // PointKey — and all pre-kvstore baselines — unchanged.
   if (p.workload == "kvstore") {
     j.Set("zipf_s", Json(p.zipf_s));
     j.Set("get_mix", Json(p.get_mix));
     j.Set("kv_replicas", Json(p.kv_replicas));
   }
-  // The default preset is omitted: pre-preset reports stay byte-compatible.
   if (p.cost_preset != "ethernet1989" && !p.cost_preset.empty()) {
     j.Set("cost", Json(p.cost_preset));
   }
@@ -48,19 +49,6 @@ Json HistogramToJson(const mtrace::LatencyHistogram& h) {
   j.Set("p99_ms", Json(h.PercentileMs(0.99)));
   j.Set("max_ms", Json(h.MaxMs()));
   return j;
-}
-
-// Human-readable point key, also used to match points across reports.
-std::string PointKey(const Json& params) {
-  std::string key;
-  for (const auto& [name, value] : params.members()) {
-    if (!key.empty()) {
-      key += " ";
-    }
-    key += name + "=" +
-           (value.is_string() ? value.AsString() : Json::NumberToString(value.AsDouble()));
-  }
-  return key;
 }
 
 }  // namespace
@@ -278,98 +266,6 @@ void PrintRunReport(msysv::World& world, const RunConfig& cfg, const RunResult& 
     os << "\nprotocol trace:\n";
     world.tracer().Print(os);
   }
-}
-
-MetricSense SenseOf(const std::string& metric) {
-  auto contains = [&metric](const char* s) { return metric.find(s) != std::string::npos; };
-  if (contains("throughput") || contains("ops") || contains("units") || contains("cycles") ||
-      contains("completed") || contains("verified") || contains("mutex_held")) {
-    // "ops_failed" contains "ops" but is unambiguously a failure counter.
-    if (contains("failed")) {
-      return MetricSense::kLowerIsBetter;
-    }
-    return MetricSense::kHigherIsBetter;
-  }
-  if (contains("latency") || contains("elapsed") || contains("failed") ||
-      contains("timeouts") || contains("aborted") || contains("_p50") || contains("_p95") ||
-      contains("_p99") || contains("refusals") || contains("lost") || contains("degraded") ||
-      contains("stale_epoch") || contains("torn") || contains("misses") ||
-      contains("integrity") || contains("queue")) {
-    return MetricSense::kLowerIsBetter;
-  }
-  return MetricSense::kNeutral;
-}
-
-std::vector<DiffEntry> DiffReports(const Json& baseline, const Json& current,
-                                   double tolerance) {
-  std::vector<DiffEntry> out;
-  const Json* base_points = baseline.Find("points");
-  const Json* cur_points = current.Find("points");
-  if (base_points == nullptr || cur_points == nullptr) {
-    return out;
-  }
-
-  // Index baseline points by their parameter key.
-  std::vector<std::pair<std::string, const Json*>> base_index;
-  for (const Json& p : base_points->items()) {
-    const Json* params = p.Find("params");
-    if (params != nullptr) {
-      base_index.emplace_back(PointKey(*params), &p);
-    }
-  }
-
-  for (const Json& cur : cur_points->items()) {
-    const Json* params = cur.Find("params");
-    if (params == nullptr) {
-      continue;
-    }
-    std::string key = PointKey(*params);
-    const Json* base = nullptr;
-    for (const auto& [bk, bp] : base_index) {
-      if (bk == key) {
-        base = bp;
-        break;
-      }
-    }
-    if (base == nullptr) {
-      continue;  // new point; nothing to compare against
-    }
-    const Json* cur_metrics = cur.Find("metrics");
-    const Json* base_metrics = base->Find("metrics");
-    if (cur_metrics == nullptr || base_metrics == nullptr) {
-      continue;
-    }
-    for (const auto& [name, cm] : cur_metrics->members()) {
-      const Json* bm = base_metrics->Find(name);
-      if (bm == nullptr) {
-        continue;
-      }
-      double b = bm->GetDouble("mean", 0.0);
-      double c = cm.GetDouble("mean", 0.0);
-      if (b == c) {
-        continue;
-      }
-      double denom = b < 0 ? -b : b;
-      // A metric moving off zero has no relative scale; treat it as a full
-      // swing so it always clears the tolerance and gets reported.
-      double rel = denom == 0.0 ? (c > b ? 1.0 : -1.0) : (c - b) / denom;
-      double mag = rel < 0 ? -rel : rel;
-      if (mag <= tolerance) {
-        continue;
-      }
-      DiffEntry e;
-      e.point = key;
-      e.metric = name;
-      e.baseline = b;
-      e.current = c;
-      e.rel_change = rel;
-      MetricSense sense = SenseOf(name);
-      e.regression = (sense == MetricSense::kHigherIsBetter && rel < 0) ||
-                     (sense == MetricSense::kLowerIsBetter && rel > 0);
-      out.push_back(std::move(e));
-    }
-  }
-  return out;
 }
 
 }  // namespace mexp

@@ -304,6 +304,11 @@ bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error) {
     ok = ok && KnownMembers(e, {"kind", "at_ms", "site", "peer"}, error) &&
          ReadMember(e, "kind", &kind, error) && ReadMember(e, "at_ms", &at_ms, error) &&
          ReadMember(e, "site", &site, error) && ReadMember(e, "peer", &peer, error);
+    if (ok && !(at_ms >= 0 && at_ms <= kMaxMs)) {
+      *error = kind + " event at_ms must be a number in [0, " + Json::NumberToString(kMaxMs) +
+               "], not " + Json::NumberToString(at_ms);
+      ok = false;
+    }
     if (!ok) {
       break;
     }

@@ -27,6 +27,10 @@ const char* FaultKindName(FaultKind k) {
 
 namespace {
 
+// The latest event time, 10^18 us (about 31,700 years): a time, and the sum
+// of two, stay inside msim::Time.
+constexpr msim::Time kLatestEventUs = 1'000'000'000'000'000'000;
+
 // The write `ev` makes to the fault table at `now`: the one
 // FaultInjector::Apply makes and FaultPlan::Validate replays. Returns
 // whether it changed anything.
@@ -56,6 +60,13 @@ bool IsLinkEvent(FaultKind k) {
 
 bool FaultPlan::Validate(int site_count, std::string* error) const {
   for (const FaultEvent& ev : events_) {
+    if (ev.at_us < 0 || ev.at_us > kLatestEventUs) {
+      if (error != nullptr) {
+        *error = std::string(FaultKindName(ev.kind)) + " at " + std::to_string(ev.at_us) +
+                 "us is outside the simulated time [0, 10^18] us";
+      }
+      return false;
+    }
     for (mnet::SiteId s : {ev.site, IsLinkEvent(ev.kind) ? ev.peer : ev.site}) {
       if (s < 0 || s >= site_count) {
         if (error != nullptr) {

@@ -85,14 +85,14 @@ class FaultPlan {
   }
 
   // Checks the plan against a world of `site_count` sites. Rejects a plan
-  // that names a site outside [0, site_count) (a crash, pause, resume or
-  // recover target, or either end of a cut or heal), and replays the
-  // timeline (events ordered by time, plan order on ties — the order the
-  // simulator fires them) to reject the first event that would change
-  // nothing: a crash of a crashed site, a pause of a crashed or paused one,
-  // a resume of an unpaused one, a recover of a live one, a cut of a cut
-  // link or a heal of an uncut one. Returns false and fills `error` on
-  // rejection.
+  // with an event time outside [0, 10^18] us or that names a site outside
+  // [0, site_count) (a crash, pause, resume or recover target, or either
+  // end of a cut or heal), and replays the timeline (events ordered by
+  // time, plan order on ties — the order the simulator fires them) to
+  // reject the first event that would change nothing: a crash of a crashed
+  // site, a pause of a crashed or paused one, a resume of an unpaused one, a
+  // recover of a live one, a cut of a cut link or a heal of an uncut one.
+  // Returns false and fills `error` on rejection.
   // FaultInjector::Schedule calls this and throws std::invalid_argument on
   // failure.
   bool Validate(int site_count, std::string* error) const;

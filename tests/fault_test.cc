@@ -636,24 +636,36 @@ TEST_F(FaultTest, RecoverAtTargetingLiveSiteThrows) {
 }
 
 // A fault plan that names a site the world does not have — as the target of
-// any site event or as either end of a cut or heal — is rejected up front
-// too, by Validate and by the world boot.
+// any site event or as either end of a cut or heal — or an event time
+// outside [0, 10^18] us is rejected up front too, by Validate and by the
+// world boot. The error names the event.
 TEST_F(FaultTest, PlanNamingAMissingSiteThrows) {
   const msim::Time t = 50 * kMillisecond;
-  std::vector<FaultPlan> bad(6);
-  bad[0].CrashAt(t, 7);
-  bad[1].CrashAt(t, -1);
-  bad[2].PauseAt(t, 3).ResumeAt(2 * t, 3);
-  bad[3].CrashAt(t, 3).RecoverAt(2 * t, 3);
-  bad[4].PartitionAt(t, 0, 3);
-  bad[5].PartitionAt(t, 0, 2).HealAt(2 * t, 3, 0);
-  for (std::size_t i = 0; i < bad.size(); ++i) {
+  const msim::Time latest = 1'000'000'000'000'000'000;
+  struct Case {
+    FaultPlan plan;
+    const char* named;
+  };
+  const Case bad[] = {
+      {FaultPlan().CrashAt(t, 7), "names site"},
+      {FaultPlan().CrashAt(t, -1), "names site"},
+      {FaultPlan().PauseAt(t, 3).ResumeAt(2 * t, 3), "names site"},
+      {FaultPlan().CrashAt(t, 3).RecoverAt(2 * t, 3), "names site"},
+      {FaultPlan().PartitionAt(t, 0, 3), "names site"},
+      {FaultPlan().PartitionAt(t, 0, 2).HealAt(2 * t, 3, 0), "names site"},
+      {FaultPlan().CrashAt(-5 * kMillisecond, 2), "CRASH at -5000us is outside"},
+      {FaultPlan().PauseAt(-10 * kMillisecond, 2).ResumeAt(5 * kMillisecond, 2),
+       "PAUSE at -10000us is outside"},
+      {FaultPlan().CrashAt(t, 2).RecoverAt(latest + 1, 2),
+       "RECOVER at 1000000000000000001us is outside"},
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
     std::string err;
-    EXPECT_FALSE(bad[i].Validate(3, &err)) << "plan " << i;
-    EXPECT_NE(err.find("names site"), std::string::npos) << "plan " << i << ": " << err;
+    EXPECT_FALSE(bad[i].plan.Validate(3, &err)) << "plan " << i;
+    EXPECT_NE(err.find(bad[i].named), std::string::npos) << "plan " << i << ": " << err;
     WorldOptions opts;
     EnableRecovery(opts);
-    opts.faults = bad[i];
+    opts.faults = bad[i].plan;
     EXPECT_THROW(World(3, std::move(opts)), std::invalid_argument) << "plan " << i;
   }
 
@@ -662,6 +674,9 @@ TEST_F(FaultTest, PlanNamingAMissingSiteThrows) {
   std::string err;
   EXPECT_TRUE(edges.Validate(3, &err)) << err;
   EXPECT_FALSE(edges.Validate(2, &err));
+  FaultPlan first_and_last;  // the earliest and the latest event time
+  first_and_last.CrashAt(0, 1).RecoverAt(latest, 1);
+  EXPECT_TRUE(first_and_last.Validate(3, &err)) << err;
 }
 
 // Tentpole acceptance: k = 3 replication, a standby site crashes (degrading
