@@ -108,10 +108,6 @@ class Json {
     const Json* j = Find(key);
     return j != nullptr && j->is_number() ? static_cast<std::int64_t>(j->num_) : fallback;
   }
-  bool GetBool(const std::string& key, bool fallback) const {
-    const Json* j = Find(key);
-    return j != nullptr && j->is_bool() ? j->bool_ : fallback;
-  }
   std::string GetString(const std::string& key, const std::string& fallback) const {
     const Json* j = Find(key);
     return j != nullptr && j->is_string() ? j->str_ : fallback;

@@ -22,7 +22,7 @@ mnet::SiteId FirstSite(const mmem::SiteMask& mask) {
 }  // namespace
 
 // Every field is a std::uint64_t: a new one must be totalled below too.
-static_assert(sizeof(EngineStats) == 39 * sizeof(std::uint64_t),
+static_assert(sizeof(EngineStats) == 37 * sizeof(std::uint64_t),
               "EngineStats::operator+= must total every field");
 
 EngineStats& EngineStats::operator+=(const EngineStats& o) {
@@ -31,7 +31,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
   remote_requests_sent += o.remote_requests_sent;
   local_requests += o.local_requests;
   requests_processed += o.requests_processed;
-  requests_dropped += o.requests_dropped;
   read_batches += o.read_batches;
   batched_extra_reads += o.batched_extra_reads;
   pages_installed += o.pages_installed;
@@ -41,7 +40,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& o) {
   wait_replies_sent += o.wait_replies_sent;
   invalidation_retries += o.invalidation_retries;
   queued_invalidations += o.queued_invalidations;
-  clock_ops_executed += o.clock_ops_executed;
   request_timeouts += o.request_timeouts;
   faults_failed += o.faults_failed;
   degraded_acks += o.degraded_acks;
@@ -527,7 +525,6 @@ msim::Task<> Engine::HandlePacket(mos::Process* self, mnet::Packet pkt) {
         // announce, so dropping is always safe.
         for (auto qit = lib_queue_.begin(); qit != lib_queue_.end();) {
           if (!qit->respread && qit->body.seg == b.seg && qit->body.requester == b.from) {
-            ++stats_.requests_dropped;
             Trace("rejoin", [&] {
               return "drop pre-crash request from site " + std::to_string(b.from) + " page " +
                      std::to_string(qit->body.page);
@@ -760,12 +757,10 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
   if (StaleEpoch(req.body.seg, req.body.epoch)) {
     // The epoch moved while the request sat in the queue; the requester
     // re-sends against the reconstructed directory.
-    ++stats_.requests_dropped;
     co_return;
   }
   auto dit = dirs_.find(req.body.seg);
   if (dit == dirs_.end()) {
-    ++stats_.requests_dropped;
     co_return;
   }
   const mmem::SegmentId seg = req.body.seg;
@@ -833,14 +828,12 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
     // A previous operation on this page failed and its contents are
     // unrecoverable. Refuse immediately — no request for a lost page ever
     // waits or times out.
-    ++stats_.requests_dropped;
     co_await NotifyRequestFailed(self, seg, page, 0, mmem::MaskOf(requester));
     co_return;
   }
   if (!live().SiteUp(requester)) {
     // The requester crashed while its request was queued; a grant would be
     // dropped on the wire and the op would stall waiting for its ack.
-    ++stats_.requests_dropped;
     co_return;
   }
 
@@ -852,7 +845,6 @@ msim::Task<> Engine::ProcessRequest(mos::Process* self, Request req) {
           : (pd.mode == PageMode::kWriter ? pd.writer == requester
                                           : mmem::MaskHas(pd.readers, requester));
   if (satisfied) {
-    ++stats_.requests_dropped;
     co_return;
   }
 
@@ -1848,7 +1840,6 @@ msim::Task<bool> Engine::ExecuteClockOp(mos::Process* self, ClockOpBody op) {
     });
     co_return false;
   }
-  ++stats_.clock_ops_executed;
   mmem::SegmentImage& img = ImageRef(op.seg);
   const mnet::SiteId me = site();
   Trace("clock", [&] {

@@ -48,7 +48,6 @@ struct EngineStats {
   std::uint64_t remote_requests_sent = 0;
   std::uint64_t local_requests = 0;
   std::uint64_t requests_processed = 0;
-  std::uint64_t requests_dropped = 0;
   std::uint64_t read_batches = 0;
   std::uint64_t batched_extra_reads = 0;
   std::uint64_t pages_installed = 0;
@@ -58,7 +57,6 @@ struct EngineStats {
   std::uint64_t wait_replies_sent = 0;
   std::uint64_t invalidation_retries = 0;
   std::uint64_t queued_invalidations = 0;
-  std::uint64_t clock_ops_executed = 0;
   // ---- Failure model (DESIGN.md): all zero on a healthy run ----
   std::uint64_t request_timeouts = 0;        // using site re-sent a page request
   std::uint64_t faults_failed = 0;           // Fault() returned non-kOk

@@ -38,9 +38,6 @@ struct SchedulerConfig {
   // Lazy remap: cost per attached shared page, charged at every schedule-in
   // where another activity ran in between (paper §6.2: 106-125 us/page).
   msim::Duration remap_per_page_us = 115;
-  // Interrupt entry overhead (the receive elapsed cost already covers the
-  // paper's interrupt path, so this defaults to zero).
-  msim::Duration interrupt_entry_us = 0;
 
   msim::Duration QuantumUs() const { return tick_us * quantum_ticks; }
 };

@@ -569,6 +569,8 @@ TEST(ExperimentRunner, KvstoreReportBytesIdenticalAcrossThreadCounts) {
 // The tentpole determinism claim (DESIGN.md §12): a report produced with the
 // parallel simulator core (MIRAGE_SIM_WORKERS) is byte-identical to the
 // serial one, for both a fig8-style sweep and the kvstore serving scenario.
+// Were the variable ignored, both sides would run serially and still agree,
+// so one point per worker count must also show the workers at work.
 TEST(ExperimentRunner, ReportBytesIdenticalAcrossSimWorkerCounts) {
   mexp::ExperimentSpec fig8;
   fig8.name = "sim-worker-determinism";
@@ -599,6 +601,13 @@ TEST(ExperimentRunner, ReportBytesIdenticalAcrossSimWorkerCounts) {
       const std::string parallel =
           mexp::ReportToJson(mexp::ExperimentRunner(1).Run(spec)).ToString();
       EXPECT_EQ(serial, parallel) << spec.name << " workers=" << w;
+      bool hooked = false;
+      mexp::ExecuteRun(spec.Expand()[0], [&](msysv::World& world, const mexp::RunResult&) {
+        hooked = true;
+        EXPECT_EQ(world.sim().workers(), std::min(std::atoi(w), spec.sites[0])) << spec.name;
+        EXPECT_GT(world.sim().parallel_stats().windows, 0u) << spec.name << " workers=" << w;
+      });
+      EXPECT_TRUE(hooked) << spec.name;
     }
     unsetenv("MIRAGE_SIM_WORKERS");
   }
